@@ -1,8 +1,8 @@
 """End-to-end ingest throughput: whole-run events/sec per backend.
 
-Unlike ``benchmarks/test_columnar.py`` (switch kernels on a pre-built
+Unlike ``benchmarks/test_fastpath.py`` (switch kernels on a pre-built
 CID stream), this drives the *entire* ingest pipeline per backend —
-event generation, cookie encode (cached for batch/columnar), lark,
+event generation, cookie encode (cached for columnar), lark,
 agg, verification — via ``repro.testbed.pipeline.StreamingPipeline``,
 and records the comparison into ``BENCH_e2e.json`` at the repo root.
 The scalar backend is the pre-optimization baseline (uncached
@@ -17,7 +17,8 @@ import os
 
 from conftest import attach, emit_table
 from repro.switch.columns import numpy_enabled
-from repro.testbed.e2e_bench import E2E_BACKENDS, run_e2e_bench
+from repro.testbed.e2e_bench import run_e2e_bench
+from repro.testbed.pipeline import PIPELINE_BACKENDS
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _JSON_PATH = os.path.join(_REPO_ROOT, "BENCH_e2e.json")
@@ -48,7 +49,7 @@ def test_e2e_ingest(benchmark):
         iterations=1,
     )
 
-    ran = result.get("backends", E2E_BACKENDS)
+    ran = result.get("backends", PIPELINE_BACKENDS)
     emit_table(
         "End-to-end ingest: whole-run events/sec",
         ["backend", "events/s", "vs scalar"],
@@ -66,7 +67,6 @@ def test_e2e_ingest(benchmark):
         fh.write("\n")
     attach(
         benchmark,
-        batch_vs_scalar=result["speedup_vs_scalar"]["batch"],
         columnar_vs_scalar=result["speedup_vs_scalar"]["columnar"],
         persistent_vs_scalar=result["speedup_vs_scalar"].get("persistent"),
         events=result["events"],
@@ -76,8 +76,8 @@ def test_e2e_ingest(benchmark):
     assert result["reports_match"], "backends produced different reports"
     assert result["verified"], "report disagrees with workload ground truth"
     if not numpy_enabled():
-        # Without numpy the cookie cache and the batch dispatch still
-        # help, but the vectorized kernels fall back to scalar loops;
+        # Without numpy the cookie cache and the pure-Python columnar
+        # kernel still help, but nothing is vectorized;
         # identity holds but the speedup bar is numpy-path-only.
         return
     best = max(

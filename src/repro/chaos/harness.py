@@ -49,6 +49,7 @@ from repro.net.topology import Network
 from repro.obs.export import jsonl_lines, render_spans, render_table
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
+from repro.switch.columns import check_backend
 
 __all__ = ["ChaosHarness", "ChaosResult"]
 
@@ -127,8 +128,7 @@ class ChaosHarness:
             raise ValueError("duration and period must be positive")
         if verify_every_periods < 1:
             raise ValueError("verify_every_periods must be >= 1")
-        if backend not in ("scalar", "batch", "columnar"):
-            raise ValueError("unknown backend %r" % backend)
+        check_backend(backend)
         # Which switch entry points the data plane exercises.  Events
         # arrive one at a time from the simulator, so the fast paths
         # see single-packet batches — bit-identical to the scalar loop
@@ -283,9 +283,7 @@ class ChaosHarness:
         self._m_events.inc()
         if self.lark.alive:
             cid = self._transport_codec.encode({"region": region})
-            if self.backend == "batch":
-                self.lark.process_quic_batch([cid])
-            elif self.backend == "columnar":
+            if self.backend == "columnar":
                 self.lark.process_quic_columnar([cid])
             else:
                 self.lark.process_quic_packet(cid)
@@ -326,9 +324,7 @@ class ChaosHarness:
             self.reports_dropped_at_agg += 1
             self._m_reports_dropped.inc()
             return
-        if self.backend == "batch":
-            self.agg.process_batch([packet.payload])
-        elif self.backend == "columnar":
+        if self.backend == "columnar":
             self.agg.process_columnar([packet.payload])
         else:
             self.agg.process_packet(packet.payload)

@@ -23,7 +23,7 @@ Two injection mechanisms, both deterministic:
 
 ``degrade_backend(at_epoch, to)`` additionally scripts a *controller*
 action: from ``at_epoch`` on, the supervisor dispatches epoch jobs on
-a lower execution backend (columnar -> batch -> scalar).  Backends are
+the scalar backend instead of columnar.  Backends are
 bit-identical (the differential suite proves it), so a mid-run
 degradation must not change a single register cell — the chaos bench
 asserts exactly that.
@@ -34,6 +34,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+from repro.switch.columns import check_backend
 
 __all__ = ["ShardCrash", "ShardFaultPlan", "ShardKill"]
 
@@ -80,9 +82,8 @@ class ShardFaultPlan:
 
     def degrade_backend(self, at_epoch: int, to: str) -> "ShardFaultPlan":
         """Script a controller degradation: epochs >= ``at_epoch`` run
-        on backend ``to`` (must be one of scalar/batch/columnar)."""
-        if to not in ("scalar", "batch", "columnar"):
-            raise ValueError("unknown backend %r" % to)
+        on backend ``to`` (one of :data:`~repro.switch.columns.BACKENDS`)."""
+        check_backend(to)
         if at_epoch < 0:
             raise ValueError("at_epoch must be >= 0")
         self._degradations[at_epoch] = to

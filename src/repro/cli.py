@@ -7,9 +7,9 @@ Subcommands mirror the evaluation:
 * ``breakdown`` — the Figure-1 time-cost breakdown;
 * ``testbed``   — one end-to-end DES run (scheme, INSA, rate, ...);
 * ``measure``   — the synthetic measurement campaign summary;
-* ``bench``     — data-plane throughput: scalar vs one fast path
-  (``--backend batch|columnar``), the three-way ``--compare`` mode
-  that writes ``BENCH_columnar.json``, the whole-run ``--e2e``
+* ``bench``     — data-plane throughput: by default (or with
+  ``--compare``) scalar vs the columnar kernels with numpy off and on,
+  written to ``BENCH_fastpath.json``; or the whole-run ``--e2e``
   ingest benchmark that writes ``BENCH_e2e.json`` (add ``--profile
   PATH`` for a cProfile dump), the ``--chaos`` crash-recovery
   benchmark on the supervised shard runtime that writes
@@ -45,6 +45,7 @@ from repro.model.periodical import periodical_speedup
 from repro.model.speedup import Protocol, speedup_table
 from repro.testbed.config import Scheme, TestbedConfig
 from repro.testbed.experiment import TestbedExperiment
+from repro.testbed.pipeline import PIPELINE_BACKENDS
 
 __all__ = ["main", "build_parser"]
 
@@ -184,11 +185,7 @@ def _cmd_bench(args, out) -> int:
     import json
 
     from repro.core.aggregation import ForwardingMode
-    from repro.testbed.fastpath import (
-        BACKENDS,
-        run_backend_bench,
-        run_fastpath_bench,
-    )
+    from repro.testbed.fastpath import PATHS, run_backend_bench
 
     mode = (
         ForwardingMode.PERIODICAL if args.mode == "periodical"
@@ -196,7 +193,6 @@ def _cmd_bench(args, out) -> int:
     )
     if args.e2e:
         from repro.testbed.e2e_bench import (
-            E2E_BACKENDS,
             profile_e2e,
             run_e2e_bench,
         )
@@ -240,7 +236,7 @@ def _cmd_bench(args, out) -> int:
             [
                 [b, "%.0f" % result[b]["events_per_second"],
                  "%.2fx" % result["speedup_vs_scalar"][b]]
-                for b in result.get("backends", E2E_BACKENDS)
+                for b in result.get("backends", PIPELINE_BACKENDS)
             ],
             out,
         )
@@ -440,91 +436,57 @@ def _cmd_bench(args, out) -> int:
             out.write("FAIL: recovery replayed more than the epoch tail\n")
             return 1
         return 0
-    if args.compare:
-        # Three-way backend comparison; the columnar path must not
-        # regress below the batch path on the periodical workload.
-        result = run_backend_bench(
-            packets=args.packets,
-            num_users=args.users,
-            mode=mode,
-            batch_size=args.batch_size,
-            shards=args.shards,
-            seed=args.seed,
-            repeats=args.repeats,
-        )
-        out.write(
-            "backend compare: %d packets, %d users, mode=%s, batch=%d, "
-            "best of %d\n"
-            % (result["packets"], result["unique_users"], args.mode,
-               result["batch_size"], result["repeats"])
-        )
-        rows = []
-        for section in ("lark", "agg"):
-            data = result[section]
-            rows.append(
-                [section]
-                + ["%.0f" % data[b]["packets_per_second"] for b in BACKENDS]
-                + ["%.2fx" % data["columnar_vs_batch"],
-                   "yes" if data["reports_match"] else "NO"]
-            )
-        _print_rows(
-            ["path", "scalar pkts/s", "batch pkts/s", "columnar pkts/s",
-             "col/batch", "match"],
-            rows, out,
-        )
-        json_path = args.json or "BENCH_columnar.json"
-        with open(json_path, "w") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        out.write("\nwrote %s\n" % json_path)
-        if not (result["lark"]["reports_match"]
-                and result["agg"]["reports_match"]):
-            out.write("FAIL: backend reports disagree\n")
-            return 1
-        if (args.mode == "periodical"
-                and result["lark"]["columnar_vs_batch"] < 1.0):
-            out.write(
-                "FAIL: columnar lark path slower than batch (%.2fx)\n"
-                % result["lark"]["columnar_vs_batch"]
-            )
-            return 1
-        return 0
-
-    result = run_fastpath_bench(
+    # Default mode (also spelled --compare): scalar vs the columnar
+    # kernels with numpy off and on.  Fails if the paths' reports
+    # differ, or if vectorized columnar lark is slower than the
+    # numpy-off kernel on the periodical workload.
+    result = run_backend_bench(
         packets=args.packets,
         num_users=args.users,
         mode=mode,
         batch_size=args.batch_size,
         shards=args.shards,
         seed=args.seed,
-        backend=args.backend,
+        repeats=args.repeats,
+    )
+    out.write(
+        "fast path: %d packets, %d users, mode=%s, batch=%d, shards=%d, "
+        "numpy=%s, best of %d\n"
+        % (result["packets"], result["unique_users"], args.mode,
+           result["batch_size"], args.shards,
+           "on" if result["numpy"] else "off", result["repeats"])
     )
     rows = []
     for section in ("lark", "agg"):
         data = result[section]
-        rows.append([
-            section,
-            "%.0f" % data["scalar"]["packets_per_second"],
-            "%.0f" % data["batch"]["packets_per_second"],
-            "%.2fx" % data["speedup"],
-            "yes" if data["reports_match"] else "NO",
-        ])
-    out.write(
-        "fast path: %d packets, %d users, mode=%s, batch=%d, shards=%d, "
-        "backend=%s\n"
-        % (result["packets"], result["unique_users"], args.mode,
-           result["batch_size"], args.shards, args.backend)
-    )
+        rows.append(
+            [section]
+            + ["%.0f" % data[path]["packets_per_second"] for path in PATHS]
+            + ["%.2fx" % data["speedup_vs_scalar"]["columnar"],
+               "%.2fx" % data["columnar_vs_no_numpy"],
+               "yes" if data["reports_match"] else "NO"]
+        )
     _print_rows(
-        ["path", "scalar pkts/s", "%s pkts/s" % args.backend, "speedup",
-         "match"],
+        ["path", "scalar pkts/s", "no-numpy pkts/s", "columnar pkts/s",
+         "col/scalar", "col/no-numpy", "match"],
         rows, out,
     )
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        out.write("\nwrote %s\n" % args.json)
+    json_path = args.json or "BENCH_fastpath.json"
+    with open(json_path, "w") as fh:
+        json.dump(result, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    out.write("\nwrote %s\n" % json_path)
+    if not (result["lark"]["reports_match"]
+            and result["agg"]["reports_match"]):
+        out.write("FAIL: fast-path reports disagree\n")
+        return 1
+    if (args.mode == "periodical" and result["numpy"]
+            and result["lark"]["columnar_vs_no_numpy"] < 1.0):
+        out.write(
+            "FAIL: columnar lark path slower than its numpy-off kernel "
+            "(%.2fx)\n" % result["lark"]["columnar_vs_no_numpy"]
+        )
+        return 1
     return 0
 
 
@@ -597,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="scalar-vs-batch data-plane throughput comparison",
+        help="scalar-vs-columnar data-plane throughput comparison",
     )
     p.add_argument("--packets", type=int, default=20000)
     p.add_argument("--users", type=int, default=2000)
@@ -606,17 +568,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=1024)
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--backend",
-                   choices=["scalar", "batch", "columnar", "persistent"],
-                   default="batch",
-                   help="fast path to measure against scalar "
-                        "(persistent applies to --e2e --profile only)")
+    p.add_argument("--backend", choices=PIPELINE_BACKENDS,
+                   default="columnar",
+                   help="backend for --e2e --profile and --scale")
     p.add_argument("--compare", action="store_true",
-                   help="three-way scalar/batch/columnar comparison; "
-                        "writes BENCH_columnar.json and exits nonzero "
-                        "if columnar is slower than batch")
+                   help="the default mode: scalar vs columnar with numpy "
+                        "off and on; writes BENCH_fastpath.json and exits "
+                        "nonzero if reports differ or columnar lark is "
+                        "slower than its numpy-off kernel")
     p.add_argument("--repeats", type=int, default=3,
-                   help="interleaved best-of-N rounds for --compare/--e2e")
+                   help="interleaved best-of-N rounds for the comparison "
+                        "and --e2e")
     p.add_argument("--placement", action="store_true",
                    help="skew-aware placement benchmark: static vs "
                         "rebalanced shard load, elastic-run identity, "

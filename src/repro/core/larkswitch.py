@@ -427,6 +427,7 @@ class LarkSwitch:
     def _per_packet_payload(
         self, app: RegisteredApp, values: Dict[str, Any]
     ) -> bytes:
+        self._m_reports.inc()
         return app.agg_codec.encode(self._aggregation_packet(app, values))
 
     def process_quic_packet(self, dcid: ConnectionID) -> LarkResult:
@@ -702,6 +703,7 @@ class LarkSwitch:
         failure_count = 0
         dedup_count = 0
         digest_count = 0
+        report_count = 0
         total_latency_us = 0.0
         line_us = LINE_RATE_LATENCY_MS * 1000.0
         hit_us = hit_latency * 1000.0
@@ -765,6 +767,7 @@ class LarkSwitch:
                     packet = self._aggregation_packet(app, values)
                     packets[group] = packet
                 payload = app.agg_codec.encode(packet)
+                report_count += 1
             append(LarkResult(
                 matched=True,
                 forwarded_original=True,
@@ -778,6 +781,7 @@ class LarkSwitch:
         self._m_dedup_hits.inc(dedup_count)
         self._m_register_updates.inc(decoded_count)
         self._m_digests.inc(digest_count)
+        self._m_reports.inc(report_count)
         pipe._m_batches.inc()
         pipe._m_batch_size.observe(n)
         pipe._m_batch_latency_us.observe(total_latency_us)

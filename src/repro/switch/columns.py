@@ -13,6 +13,9 @@ vectorizes.  This module provides the shared substrate:
   vectorized kernels even when numpy is importable, which is how the
   CI fallback job and the differential suite prove the pure-Python
   path is the semantic reference.
+* :data:`BACKENDS` — the selectable data-plane backends: ``scalar``
+  (the per-packet oracle) and ``columnar`` (these kernels, which run
+  their pure-Python form while the gate is closed).
 * :class:`PacketColumns` — a batch of packets as padded byte matrices
   plus parallel integer arrays (lengths, leading header fields), built
   once per batch by the parser/switch front end.
@@ -31,7 +34,8 @@ register scatter ops) is *bit-identical* to its scalar counterpart;
 from __future__ import annotations
 
 import os
-from typing import Any, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - exercised via the no-numpy CI job
     import numpy as _np
@@ -39,15 +43,30 @@ except ImportError:  # pragma: no cover
     _np = None
 
 __all__ = [
+    "BACKENDS",
+    "check_backend",
     "HAVE_NUMPY",
     "numpy_enabled",
     "force_numpy",
+    "numpy_forced",
     "get_numpy",
     "PacketColumns",
     "group_rows",
 ]
 
 HAVE_NUMPY = _np is not None
+
+#: The data-plane backends every runtime accepts.
+BACKENDS = ("scalar", "columnar")
+
+
+def check_backend(backend: str) -> None:
+    """Raise ValueError unless ``backend`` is one of :data:`BACKENDS`."""
+    if backend not in BACKENDS:
+        raise ValueError(
+            "unknown backend %r (expected one of %s)"
+            % (backend, "/".join(BACKENDS))
+        )
 
 # Tri-state override: None = follow availability, True/False = forced.
 _FORCED: Optional[bool] = None
@@ -70,6 +89,19 @@ def force_numpy(enabled: Optional[bool]) -> None:
     """
     global _FORCED
     _FORCED = enabled
+
+
+@contextmanager
+def numpy_forced(enabled: Optional[bool]) -> Iterator[None]:
+    """:func:`force_numpy` for the duration of a ``with`` block, then
+    put back whatever override was in force before."""
+    global _FORCED
+    saved = _FORCED
+    _FORCED = enabled
+    try:
+        yield
+    finally:
+        _FORCED = saved
 
 
 def get_numpy():

@@ -3,8 +3,8 @@
 ``python -m repro.cli bench --chaos`` drives this: for each seed and
 execution backend it runs one hash-partitioned stream through the
 :class:`~repro.testbed.supervisor.ShardSupervisor` twice — fault-free,
-then with a scripted single-shard crash plus (on the fast backends) a
-scripted mid-run degradation one tier down — and checks the
+then with a scripted single-shard crash plus (on the columnar backend)
+a scripted mid-run degradation to scalar — and checks the
 acceptance-criteria invariants:
 
 * **differential proof** — the faulted run's merged snapshot and
@@ -28,16 +28,14 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.chaos.shard_faults import ShardFaultPlan
 from repro.core.aggregation import ForwardingMode
+from repro.switch.columns import BACKENDS
 from repro.testbed.executor import ShardSpec
-from repro.testbed.fastpath import BACKENDS, BENCH_APP_ID, FastpathFixture
+from repro.testbed.fastpath import BENCH_APP_ID, FastpathFixture
 from repro.testbed.supervisor import ShardSupervisor
 
 __all__ = ["run_chaos_bench", "DEFAULT_SEEDS"]
 
 DEFAULT_SEEDS: Tuple[int, ...] = (11, 23, 37)
-
-# One tier down for the scripted mid-run degradation.
-_DOWN = {"columnar": "batch", "batch": "scalar", "scalar": "scalar"}
 
 
 def _spec(fixture: FastpathFixture) -> ShardSpec:
@@ -120,8 +118,8 @@ def run_chaos_bench(
             plan = ShardFaultPlan(seed=seed).kill_shard(
                 crash_shard, at_batch=kill_at
             )
-            degraded_to = _DOWN[backend]
-            if degraded_to != backend:
+            degraded_to = "scalar" if backend != "scalar" else None
+            if degraded_to is not None:
                 # Mid-run controller degradation, halfway through.
                 plan.degrade_backend(
                     max(2, max(baseline.epochs) // 2), degraded_to
@@ -173,7 +171,7 @@ def run_chaos_bench(
                 "checkpoints": faulted.checkpoints,
                 "epochs": faulted.epochs,
                 "backends_by_epoch": faulted.backends,
-                "degraded_to": degraded_to if degraded_to != backend else None,
+                "degraded_to": degraded_to,
                 "salvaged": faulted.salvaged,
                 "identical": identical,
                 "cross_backend_identical": cross_identical,

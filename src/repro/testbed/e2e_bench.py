@@ -24,20 +24,11 @@ import time
 from typing import Any, Dict, Optional
 
 from repro.core.aggregation import ForwardingMode
-from repro.testbed.pipeline import (
-    BACKENDS,
-    PIPELINE_BACKENDS,
-    StreamingPipeline,
-)
+from repro.testbed.pipeline import PIPELINE_BACKENDS, StreamingPipeline
 from repro.testbed.shm_ring import shared_memory_available
 from repro.workloads.adcampaign import AdCampaignWorkload
 
-__all__ = ["run_e2e_bench", "profile_e2e", "BACKENDS", "E2E_BACKENDS"]
-
-# What `bench --e2e` measures: the in-process tiers plus the
-# persistent ring-fed worker tier (skipped automatically where POSIX
-# shared memory is unavailable).
-E2E_BACKENDS = PIPELINE_BACKENDS
+__all__ = ["run_e2e_bench", "profile_e2e"]
 
 
 def _throughput(seconds: float, events: int) -> Dict[str, float]:
@@ -137,12 +128,12 @@ def run_e2e_bench(
     repeats: int = 3,
     cache_admission: str = "lru",
 ) -> Dict[str, Any]:
-    """Whole-run events/sec for scalar / batch / columnar / persistent
+    """Whole-run events/sec for scalar / columnar / persistent
     ingest (the persistent tier streams agg batches to a long-lived
     shared-memory ring worker; it is skipped on hosts without POSIX
     shared memory and the result's ``backends`` list says what ran).
 
-    Returns a JSON-ready dict following the ``BENCH_columnar.json``
+    Returns a JSON-ready dict following the ``BENCH_fastpath.json``
     conventions (seed, repeats, per-backend ``_throughput`` sections,
     ``speedup_vs_scalar``), plus ``reports_match`` (all backends
     produced the identical aggregation report) and ``verified`` (that
@@ -150,7 +141,7 @@ def run_e2e_bench(
     truth).
     """
     backends = [
-        backend for backend in E2E_BACKENDS
+        backend for backend in PIPELINE_BACKENDS
         if backend != "persistent" or shared_memory_available()
     ]
     best = {backend: float("inf") for backend in backends}
@@ -211,7 +202,7 @@ def run_e2e_bench(
 
 def profile_e2e(
     path: str,
-    backend: str = "batch",
+    backend: str = "columnar",
     requests_per_second: float = 20_000.0,
     duration_ms: float = 1000.0,
     num_users: int = 2000,

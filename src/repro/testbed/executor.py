@@ -31,15 +31,14 @@ from __future__ import annotations
 
 import logging
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.aggregation import ForwardingMode
 from repro.core.schema import CookieSchema
 from repro.core.stats import StatSpec, merge_snapshots
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.switch.columns import PacketColumns, get_numpy
+from repro.switch.columns import PacketColumns, check_backend, get_numpy
 from repro.switch.hashing import crc32, crc32_many
 from repro.testbed.placement import PartitionMap
 
@@ -47,7 +46,8 @@ __all__ = [
     "ShardSpec",
     "ShardExecutor",
     "ShardRunResult",
-    "AdaptiveBackend",
+    "shard_processor",
+    "count_folded",
     "partition_packets",
     "partition_columns",
     "render_report",
@@ -117,6 +117,36 @@ def _build_switch(spec: ShardSpec, shard_index: int):
     return switch
 
 
+def shard_processor(
+    spec: ShardSpec, switch, backend: str
+) -> Callable[[Sequence[bytes]], List[Any]]:
+    """The batch callable ``backend`` runs on a replica: raw packets
+    (a list, or a :class:`PacketColumns` batch) in, per-packet results
+    out.  The pool, supervisor and persistent-worker runtimes all
+    dispatch through it, so they cannot drift apart."""
+    if spec.kind == "lark":
+        if backend == "columnar":
+            return switch.process_quic_columnar
+        from repro.quic.connection_id import ConnectionID
+
+        return lambda rows: [
+            switch.process_quic_packet(ConnectionID(bytes(r))) for r in rows
+        ]
+    if backend == "columnar":
+        return switch.process_columnar
+    return lambda rows: [switch.process_packet(bytes(r)) for r in rows]
+
+
+def count_folded(results: Sequence[Any]) -> int:
+    """Results that folded into registers (agg merges, lark decodes)."""
+    return sum(
+        1
+        for result in results
+        if getattr(result, "merged", False)
+        or getattr(result, "decoded_values", None) is not None
+    )
+
+
 def _run_shard(
     args: Tuple[ShardSpec, int, List[bytes], str, int],
 ) -> Tuple[int, Dict[str, List[int]], Dict[str, int]]:
@@ -127,36 +157,15 @@ def _run_shard(
     """
     spec, shard_index, packets, backend, chunk_size = args
     switch = _build_switch(spec, shard_index)
-    if spec.kind == "lark":
-        from repro.quic.connection_id import ConnectionID
-
-        items: List[Any] = [ConnectionID(p) for p in packets]
-        process = {
-            "scalar": lambda chunk: [
-                switch.process_quic_packet(c) for c in chunk
-            ],
-            "batch": switch.process_quic_batch,
-            "columnar": switch.process_quic_columnar,
-        }[backend]
-    else:
-        items = list(packets)
-        process = {
-            "scalar": lambda chunk: [switch.process_packet(p) for p in chunk],
-            "batch": switch.process_batch,
-            "columnar": switch.process_columnar,
-        }[backend]
+    process = shard_processor(spec, switch, backend)
     merged = 0
-    for start in range(0, len(items), chunk_size):
-        for result in process(items[start:start + chunk_size]):
-            if getattr(result, "merged", False) or (
-                getattr(result, "decoded_values", None) is not None
-            ):
-                merged += 1
+    for start in range(0, len(packets), chunk_size):
+        merged += count_folded(process(packets[start:start + chunk_size]))
     if spec.kind == "lark":
         snapshot = switch._apps[spec.app_id].stats.snapshot()
     else:
         snapshot = switch.merge(spec.app_id)
-    counters = {"packets": len(items), "folded": merged}
+    counters = {"packets": len(packets), "folded": merged}
     return shard_index, snapshot, counters
 
 
@@ -310,7 +319,8 @@ class ShardExecutor:
 
     ``processes`` — pool size (``None`` = one per shard); 0 or 1
     forces the sequential in-process path.  ``backend`` selects the
-    per-shard execution path (``scalar`` / ``batch`` / ``columnar``).
+    per-shard execution path (one of
+    :data:`~repro.switch.columns.BACKENDS`).
     """
 
     def __init__(
@@ -329,8 +339,7 @@ class ShardExecutor:
             shards = placement.shards
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if backend not in ("scalar", "batch", "columnar"):
-            raise ValueError("unknown backend %r" % backend)
+        check_backend(backend)
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         self.spec = spec
@@ -573,286 +582,3 @@ class ShardExecutor:
                     },
                 )
         return [_run_shard(job) for job in jobs], False
-
-
-class AdaptiveBackend:
-    """Per-device backend selector and continuous degradation controller.
-
-    Fixed modes (``scalar`` / ``batch`` / ``columnar``) dispatch every
-    batch straight to the matching callable, no measurement.  In
-    ``auto`` mode the first flushes are calibration probes: batches
-    rotate over every available candidate (columnar included when a
-    ``columnar_fn`` is supplied), each timed per item.  All paths are
-    bit-identical (the differential suite proves it), so calibration
-    and probe packets are processed exactly once and produce the same
-    results either way — only the wall-clock differs.  After
-    ``calibration_rounds`` timed samples per candidate the fastest
-    path wins; ties go to the higher tier (columnar > batch > scalar).
-
-    Unlike the original one-shot pick, the choice stays under
-    supervision afterwards:
-
-    * every steady-state flush feeds a sliding window of per-item
-      times; when the window mean exceeds ``spike_factor`` times the
-      backend's measured baseline, the controller **degrades** one
-      tier down the ladder (columnar -> batch -> scalar);
-    * an exception raised by the chosen path also degrades one tier
-      (after being counted and re-raised — the switch state already
-      consumed the flush, so the packets cannot be silently replayed);
-    * after ``cooldown_flushes`` flushes at the lower tier, one flush
-      probes the tier we degraded from and **re-promotes** if it is
-      again competitive (no thrash: promotion only retraces recorded
-      degradations);
-    * with ``recalibrate_every > 0``, steady state additionally probes
-      the non-chosen candidates round-robin every that-many flushes
-      and re-elects the winner — continuous re-measurement instead of
-      trusting the startup calibration forever.
-
-    Every transition lands in ``history`` and in ``repro.obs``
-    counters/gauges under ``name`` (``<name>.transitions``,
-    ``.degradations``, ``.promotions``, ``.errors``, ``.tier``).
-    ``clock`` is injectable so tests can script latency spikes.
-    """
-
-    _MODES = ("scalar", "batch", "columnar", "persistent", "auto")
-    _LADDER = ("scalar", "batch", "columnar", "persistent")  # ascending
-
-    def __init__(
-        self,
-        scalar_fn: Callable[[Sequence[Any]], List[Any]],
-        batch_fn: Callable[[Sequence[Any]], List[Any]],
-        columnar_fn: Optional[Callable[[Sequence[Any]], List[Any]]] = None,
-        persistent_fn: Optional[Callable[[Sequence[Any]], List[Any]]] = None,
-        mode: str = "batch",
-        calibration_rounds: int = 2,
-        window: int = 32,
-        min_window: int = 5,
-        spike_factor: float = 4.0,
-        cooldown_flushes: int = 8,
-        recalibrate_every: int = 0,
-        registry: Optional[MetricsRegistry] = None,
-        name: str = "adaptive",
-        clock: Callable[[], float] = time.perf_counter,
-    ):
-        if mode not in self._MODES:
-            raise ValueError(
-                "unknown backend %r (expected one of %s)"
-                % (mode, "/".join(self._MODES))
-            )
-        if spike_factor <= 1.0:
-            raise ValueError("spike_factor must be > 1")
-        self._fns: Dict[str, Callable[[Sequence[Any]], List[Any]]] = {
-            "scalar": scalar_fn,
-            "batch": batch_fn,
-            "columnar": columnar_fn if columnar_fn is not None else batch_fn,
-            "persistent": (
-                persistent_fn
-                if persistent_fn is not None
-                else (columnar_fn if columnar_fn is not None else batch_fn)
-            ),
-        }
-        # Probe order: higher tiers first.  Without a real columnar_fn
-        # the "columnar" entry aliases batch_fn, so probing it would
-        # double-charge the batch path — leave it out (likewise for a
-        # missing persistent_fn, which aliases the next tier down).
-        candidates = ["batch", "scalar"]
-        if columnar_fn is not None:
-            candidates.insert(0, "columnar")
-        if persistent_fn is not None:
-            candidates.insert(0, "persistent")
-        self._candidates: Tuple[str, ...] = tuple(candidates)
-        self.mode = mode
-        self.calibration_rounds = max(1, calibration_rounds)
-        self.window = max(2, window)
-        self.min_window = max(2, min_window)
-        self.spike_factor = spike_factor
-        self.cooldown_flushes = max(1, cooldown_flushes)
-        self.recalibrate_every = max(0, recalibrate_every)
-        self.registry = registry if registry is not None else get_registry()
-        self.name = name
-        self._clock = clock
-        # chosen is the current dispatch target; None while calibrating.
-        self.chosen: Optional[str] = None if mode == "auto" else mode
-        self._samples: Dict[str, List[float]] = {
-            c: [] for c in self._candidates
-        }
-        self._baseline: Dict[str, float] = {}
-        self._window: List[float] = []
-        self._flush = 0
-        self._last_transition = 0
-        self._last_probe = 0
-        self._probe_index = 0
-        # Stack of tiers we stepped down from — re-promotion retraces it.
-        self._degraded_from: List[str] = []
-        self.history: List[Dict[str, Any]] = []
-        self.errors = 0
-
-    # -- dispatch ----------------------------------------------------------
-
-    def run(self, items: Sequence[Any]) -> List[Any]:
-        """Process one flush worth of ``items``; returns the results."""
-        if self.mode != "auto":
-            return self._fns[self.mode](items)
-        if not items:
-            return []
-        self._flush += 1
-        if self.chosen is None:
-            return self._calibrate(items)
-        if (
-            self._degraded_from
-            and self._flush - self._last_transition >= self.cooldown_flushes
-        ):
-            return self._probe_promotion(items)
-        if (
-            self.recalibrate_every
-            and not self._degraded_from
-            and self._flush - self._last_probe >= self.recalibrate_every
-        ):
-            return self._probe_recalibration(items)
-        return self._steady(items)
-
-    # -- measured execution ------------------------------------------------
-
-    def _timed(self, backend: str, items: Sequence[Any]):
-        started = self._clock()
-        try:
-            results = self._fns[backend](items)
-        except Exception:
-            self.errors += 1
-            self.registry.counter(self.name + ".errors").inc()
-            if backend == self.chosen:
-                # The flush already mutated switch state; degrade for
-                # the next one and let the caller see the failure.
-                self._degrade("error")
-            raise
-        elapsed = self._clock() - started
-        return results, elapsed / max(1, len(items))
-
-    def _calibrate(self, items: Sequence[Any]) -> List[Any]:
-        # Rotate candidates (fewest samples first, higher tier on
-        # ties); per-item time so unequal flush sizes cannot bias the
-        # comparison.
-        candidate = min(
-            self._candidates, key=lambda c: len(self._samples[c])
-        )
-        results, per_item = self._timed(candidate, items)
-        self._samples[candidate].append(per_item)
-        if all(
-            len(s) >= self.calibration_rounds
-            for s in self._samples.values()
-        ):
-            # min-of-N: robust to one-off GC pauses during calibration.
-            for c in self._candidates:
-                self._baseline[c] = min(self._samples[c])
-            winner = min(self._candidates, key=lambda c: self._baseline[c])
-            self._transition(None, winner, "calibration")
-        return results
-
-    def _steady(self, items: Sequence[Any]) -> List[Any]:
-        results, per_item = self._timed(self.chosen, items)
-        self._window.append(per_item)
-        if len(self._window) > self.window:
-            self._window.pop(0)
-        base = self._baseline.get(self.chosen)
-        if base is None or per_item < base:
-            # Continuous re-measurement: the baseline tracks the best
-            # the chosen path has ever done here.
-            base = per_item
-            self._baseline[self.chosen] = base
-        if (
-            len(self._window) >= self.min_window
-            and base > 0
-            and sum(self._window) / len(self._window)
-            > self.spike_factor * base
-        ):
-            self.registry.counter(self.name + ".spikes").inc()
-            self._degrade("latency")
-        return results
-
-    def _probe_promotion(self, items: Sequence[Any]) -> List[Any]:
-        target = self._degraded_from[-1]
-        try:
-            results, per_item = self._timed(target, items)
-        except Exception:
-            # A tier that errors on its probe is never probed again.
-            self._degraded_from.pop()
-            raise
-        current = (
-            sum(self._window) / len(self._window)
-            if self._window
-            else self._baseline.get(self.chosen)
-        )
-        if current is not None and per_item <= current:
-            self._degraded_from.pop()
-            self._baseline[target] = min(
-                per_item, self._baseline.get(target, per_item)
-            )
-            self.registry.counter(self.name + ".promotions").inc()
-            self._transition(self.chosen, target, "recovered")
-        else:
-            # Still slow up there: stay put, restart the cooldown.
-            self._last_transition = self._flush
-        return results
-
-    def _probe_recalibration(self, items: Sequence[Any]) -> List[Any]:
-        self._last_probe = self._flush
-        others = [c for c in self._candidates if c != self.chosen]
-        if not others:
-            return self._steady(items)
-        target = others[self._probe_index % len(others)]
-        self._probe_index += 1
-        results, per_item = self._timed(target, items)
-        samples = self._samples[target]
-        samples.append(per_item)
-        if len(samples) > self.calibration_rounds:
-            samples.pop(0)
-        self._baseline[target] = min(samples)
-        if self._baseline[target] < self._baseline.get(
-            self.chosen, float("inf")
-        ):
-            self._transition(self.chosen, target, "recalibration")
-        return results
-
-    # -- transitions -------------------------------------------------------
-
-    def _degrade(self, reason: str) -> None:
-        if self.chosen is None:
-            return
-        lower = [
-            t
-            for t in self._LADDER[: self._LADDER.index(self.chosen)]
-            if t in self._candidates
-        ]
-        if not lower:
-            return  # already on the floor of the ladder
-        self._degraded_from.append(self.chosen)
-        self.registry.counter(self.name + ".degradations").inc()
-        self._transition(self.chosen, lower[-1], reason)
-
-    def _transition(
-        self, source: Optional[str], target: str, reason: str
-    ) -> None:
-        self.chosen = target
-        self._window = []
-        self._last_transition = self._flush
-        self.history.append(
-            {
-                "flush": self._flush,
-                "from": source,
-                "to": target,
-                "reason": reason,
-            }
-        )
-        self.registry.counter(self.name + ".transitions").inc()
-        self.registry.gauge(self.name + ".tier").set(
-            self._LADDER.index(target)
-        )
-        _LOG.info(
-            "adaptive backend transition",
-            extra={
-                "component": self.name,
-                "from": source,
-                "to": target,
-                "reason": reason,
-            },
-        )

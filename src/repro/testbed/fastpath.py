@@ -1,13 +1,14 @@
-"""Scalar-vs-batch fast-path benchmark driver.
+"""Scalar-vs-columnar fast-path benchmark.
 
-The compiled batch path (:meth:`SwitchPipeline.process_batch`,
-:meth:`LarkSwitch.process_quic_batch`, :meth:`AggSwitch.process_batch`)
-exists so the simulated data plane stops dominating benchmark
-wall-clock.  This module measures exactly that: it replays one seeded
-connection-ID stream through a scalar switch and a batch switch and
-reports host-CPU throughput for both, verifying on the way that the two
-end states agree (the rigorous bit-identity proof lives in
-``tests/differential/``).
+The columnar kernels (:meth:`LarkSwitch.process_quic_columnar`,
+:meth:`AggSwitch.process_columnar`) exist so the simulated data plane
+stops dominating benchmark wall-clock.  This module measures exactly
+that: it replays one seeded connection-ID stream through the scalar
+per-packet switches, through the columnar entry points with the numpy
+gate forced closed (their pure-Python kernel), and through the
+vectorized columnar kernels, and reports host-CPU throughput for each,
+verifying on the way that all end states agree (the rigorous
+bit-identity proof lives in ``tests/differential/``).
 
 Used by ``python -m repro.cli bench`` and ``benchmarks/test_fastpath.py``.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import gc
 import random
 import time
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List
 
 from repro.core.aggregation import ForwardingMode
 from repro.core.aggswitch import AggSwitch
@@ -25,24 +26,26 @@ from repro.core.larkswitch import LarkSwitch
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.obs.registry import MetricsRegistry
 from repro.quic.connection_id import ConnectionID
+from repro.switch.columns import numpy_enabled, numpy_forced
 from repro.workloads.adcampaign import AdCampaignWorkload, iter_batches
 
 __all__ = [
     "FastpathFixture",
-    "run_fastpath_bench",
     "run_backend_bench",
     "BENCH_APP_ID",
-    "BACKENDS",
+    "PATHS",
 ]
 
 BENCH_APP_ID = 0x5C
 
-#: Execution backends, slowest to fastest (on hosts with numpy).
-BACKENDS = ("scalar", "batch", "columnar")
+#: What the comparison times, slowest to fastest (on hosts with numpy):
+#: the scalar oracle, the columnar entry points with the numpy gate
+#: forced closed, and the vectorized columnar kernels.
+PATHS = ("scalar", "no_numpy", "columnar")
 
 
 class FastpathFixture:
-    """Builds matched scalar/batch switches over one seeded workload."""
+    """Builds matched switches over one seeded workload."""
 
     def __init__(
         self,
@@ -92,7 +95,7 @@ class FastpathFixture:
     def make_cids(self, packets: int) -> List[ConnectionID]:
         """One semantic CID per user, replayed in a seeded mix — the
         Snatch CID policy preserves the cookie bytes across a user's
-        connections, which is what the batch decode memo exploits."""
+        connections, which is what the decode memo exploits."""
         codec = TransportCookieCodec(
             BENCH_APP_ID, self.schema, self.key, random.Random(self.seed + 3)
         )
@@ -114,129 +117,25 @@ def _throughput(seconds: float, packets: int) -> Dict[str, float]:
     }
 
 
-def _time_lark(switch, cids, backend: str, batch_size: int) -> float:
-    """Run all ``cids`` through one lark backend; returns seconds."""
+def _time_path(
+    path: str,
+    process_one: Callable[[Any], Any],
+    process_batch: Callable[[List[Any]], Any],
+    items: List[Any],
+    batch_size: int,
+) -> float:
+    """Run all ``items`` down one path; returns seconds.  The
+    ``no_numpy`` path closes the numpy gate for its run only."""
     gc.collect()  # same GC starting state for every timed run
-    if backend == "scalar":
-        process_one = switch.process_quic_packet
+    with numpy_forced(False if path == "no_numpy" else numpy_enabled()):
         t0 = time.perf_counter()
-        for cid in cids:
-            process_one(cid)
+        if path == "scalar":
+            for item in items:
+                process_one(item)
+        else:
+            for chunk in iter_batches(items, batch_size):
+                process_batch(chunk)
         return time.perf_counter() - t0
-    process = (
-        switch.process_quic_batch if backend == "batch"
-        else switch.process_quic_columnar
-    )
-    t0 = time.perf_counter()
-    for chunk in iter_batches(cids, batch_size):
-        process(chunk)
-    return time.perf_counter() - t0
-
-
-def _time_agg(switch, payloads, backend: str, batch_size: int) -> float:
-    """Run all ``payloads`` through one agg backend; returns seconds."""
-    gc.collect()  # same GC starting state for every timed run
-    if backend == "scalar":
-        process_one = switch.process_packet
-        t0 = time.perf_counter()
-        for payload in payloads:
-            process_one(payload)
-        return time.perf_counter() - t0
-    process = (
-        switch.process_batch if backend == "batch"
-        else switch.process_columnar
-    )
-    t0 = time.perf_counter()
-    for chunk in iter_batches(payloads, batch_size):
-        process(chunk)
-    return time.perf_counter() - t0
-
-
-def run_fastpath_bench(
-    packets: int = 100_000,
-    num_users: int = 2000,
-    mode: str = ForwardingMode.PERIODICAL,
-    batch_size: int = 1024,
-    shards: int = 1,
-    agg_packets: int = 5000,
-    seed: int = 42,
-    backend: str = "batch",
-) -> Dict[str, Any]:
-    """Measure scalar vs fast-path throughput on one seeded CID stream.
-
-    ``backend`` selects the fast path under test (``batch`` or
-    ``columnar``; ``scalar`` measures the baseline against itself).
-    Returns a JSON-ready dict with a LarkSwitch section (the headline
-    scalar-vs-fast-path comparison) and an AggSwitch section
-    (per-packet merge throughput at the requested shard count).  The
-    fast path's numbers live under the ``"batch"`` key regardless of
-    backend, for JSON-shape compatibility; the ``"backend"`` field
-    names what was measured.
-    """
-    if backend not in BACKENDS:
-        raise ValueError("unknown backend %r" % backend)
-    fixture = FastpathFixture(
-        mode=mode, num_users=num_users, seed=seed, shards=shards
-    )
-    cids = fixture.make_cids(packets)
-
-    scalar_lark = fixture.new_lark()
-    scalar_s = _time_lark(scalar_lark, cids, "scalar", batch_size)
-
-    batch_lark = fixture.new_lark()
-    batch_s = _time_lark(batch_lark, cids, backend, batch_size)
-
-    reports_match = (
-        scalar_lark.stats_report(BENCH_APP_ID)
-        == batch_lark.stats_report(BENCH_APP_ID)
-    )
-
-    # AggSwitch merge throughput on per-packet aggregation payloads.
-    agg_n = min(agg_packets, packets)
-    payload_fixture = FastpathFixture(
-        mode=ForwardingMode.PER_PACKET, num_users=num_users, seed=seed
-    )
-    payload_lark = payload_fixture.new_lark()
-    payloads = [
-        result.aggregation_payload
-        for result in payload_lark.process_quic_batch(
-            payload_fixture.make_cids(agg_n)
-        )
-        if result.aggregation_payload is not None
-    ]
-
-    scalar_agg = fixture.new_agg(shards=shards)
-    agg_scalar_s = _time_agg(scalar_agg, payloads, "scalar", batch_size)
-
-    batch_agg = fixture.new_agg(shards=shards)
-    agg_batch_s = _time_agg(batch_agg, payloads, backend, batch_size)
-
-    agg_match = (
-        scalar_agg.report(BENCH_APP_ID) == batch_agg.report(BENCH_APP_ID)
-    )
-
-    return {
-        "packets": packets,
-        "unique_users": num_users,
-        "mode": mode,
-        "batch_size": batch_size,
-        "seed": seed,
-        "backend": backend,
-        "lark": {
-            "scalar": _throughput(scalar_s, packets),
-            "batch": _throughput(batch_s, packets),
-            "speedup": scalar_s / batch_s if batch_s > 0 else 0.0,
-            "reports_match": reports_match,
-        },
-        "agg": {
-            "shards": shards,
-            "packets": len(payloads),
-            "scalar": _throughput(agg_scalar_s, len(payloads)),
-            "batch": _throughput(agg_batch_s, len(payloads)),
-            "speedup": agg_scalar_s / agg_batch_s if agg_batch_s > 0 else 0.0,
-            "reports_match": agg_match,
-        },
-    }
 
 
 def run_backend_bench(
@@ -249,20 +148,23 @@ def run_backend_bench(
     seed: int = 42,
     repeats: int = 3,
 ) -> Dict[str, Any]:
-    """Three-way scalar / batch / columnar comparison on one stream.
+    """Scalar / no-numpy / columnar comparison on one stream.
 
     Timings are interleaved best-of-``repeats`` — each round builds a
-    fresh switch per backend and runs them back to back, so a GC pause
-    or a noisy neighbour penalizes at most one (backend, round) sample
-    instead of biasing a whole backend.  Reports from the final round
-    are compared for equality across all three backends.
+    fresh switch per path and runs them back to back, so a GC pause
+    or a noisy neighbour penalizes at most one (path, round) sample
+    instead of biasing a whole path.  Reports from the final round
+    are compared for equality across all three paths.  The LarkSwitch
+    section is the headline; the AggSwitch section times per-packet
+    merges at the requested shard count.
 
     Result layout (JSON-ready)::
 
-        {"lark": {"scalar": {...}, "batch": {...}, "columnar": {...},
-                  "speedup_vs_scalar": {...}, "columnar_vs_batch": 3.1,
+        {"numpy": true,
+         "lark": {"scalar": {...}, "no_numpy": {...}, "columnar": {...},
+                  "speedup_vs_scalar": {...}, "columnar_vs_no_numpy": 3.1,
                   "reports_match": true},
-         "agg": {... same keys, plus "shards" ...}}
+         "agg": {... same keys, plus "shards" and "packets" ...}}
     """
     fixture = FastpathFixture(
         mode=mode, num_users=num_users, seed=seed, shards=shards
@@ -275,42 +177,48 @@ def run_backend_bench(
     )
     payloads = [
         result.aggregation_payload
-        for result in payload_fixture.new_lark().process_quic_batch(
+        for result in payload_fixture.new_lark().process_quic_columnar(
             payload_fixture.make_cids(agg_n)
         )
         if result.aggregation_payload is not None
     ]
 
-    best_lark = {backend: float("inf") for backend in BACKENDS}
-    best_agg = {backend: float("inf") for backend in BACKENDS}
+    best_lark = {path: float("inf") for path in PATHS}
+    best_agg = {path: float("inf") for path in PATHS}
     lark_reports: Dict[str, Any] = {}
     agg_reports: Dict[str, Any] = {}
     for _ in range(max(1, repeats)):
-        for backend in BACKENDS:
+        for path in PATHS:
             lark = fixture.new_lark()
-            elapsed = _time_lark(lark, cids, backend, batch_size)
-            best_lark[backend] = min(best_lark[backend], elapsed)
-            lark_reports[backend] = lark.stats_report(BENCH_APP_ID)
+            elapsed = _time_path(
+                path, lark.process_quic_packet, lark.process_quic_columnar,
+                cids, batch_size,
+            )
+            best_lark[path] = min(best_lark[path], elapsed)
+            lark_reports[path] = lark.stats_report(BENCH_APP_ID)
 
             agg = fixture.new_agg(shards=shards)
-            elapsed = _time_agg(agg, payloads, backend, batch_size)
-            best_agg[backend] = min(best_agg[backend], elapsed)
-            agg_reports[backend] = agg.report(BENCH_APP_ID)
+            elapsed = _time_path(
+                path, agg.process_packet, agg.process_columnar,
+                payloads, batch_size,
+            )
+            best_agg[path] = min(best_agg[path], elapsed)
+            agg_reports[path] = agg.report(BENCH_APP_ID)
 
     def _section(best: Dict[str, float], n: int, reports) -> Dict[str, Any]:
         scalar_s = best["scalar"]
         return {
-            **{backend: _throughput(best[backend], n) for backend in BACKENDS},
+            **{path: _throughput(best[path], n) for path in PATHS},
             "speedup_vs_scalar": {
-                backend: scalar_s / best[backend] if best[backend] > 0 else 0.0
-                for backend in BACKENDS
+                path: scalar_s / best[path] if best[path] > 0 else 0.0
+                for path in PATHS
             },
-            "columnar_vs_batch": (
-                best["batch"] / best["columnar"]
+            "columnar_vs_no_numpy": (
+                best["no_numpy"] / best["columnar"]
                 if best["columnar"] > 0 else 0.0
             ),
             "reports_match": all(
-                reports[backend] == reports["scalar"] for backend in BACKENDS
+                reports[path] == reports["scalar"] for path in PATHS
             ),
         }
 
@@ -321,6 +229,7 @@ def run_backend_bench(
         "batch_size": batch_size,
         "seed": seed,
         "repeats": repeats,
+        "numpy": numpy_enabled(),
         "lark": _section(best_lark, packets, lark_reports),
         "agg": {
             "shards": shards,

@@ -41,7 +41,6 @@ from repro.net.packet import NetPacket
 from repro.net.topology import Network
 from repro.quic.connection_id import ConnectionID
 from repro.testbed.config import TestbedConfig
-from repro.testbed.executor import AdaptiveBackend
 from repro.workloads.adcampaign import AdCampaignWorkload
 
 __all__ = ["NetworkTestbed", "NetworkRunResult"]
@@ -89,11 +88,8 @@ class NetworkTestbed:
         batch_window_ms: float = 0.0,
         batch_max: int = 256,
         agg_shards: int = 1,
-        backend: str = "batch",
         ingest_batch: int = 256,
         streaming_ingest: bool = True,
-        adaptive_recalibrate_every: int = 0,
-        registry=None,
     ):
         if batch_window_ms < 0:
             raise ValueError("batch_window_ms must be non-negative")
@@ -102,7 +98,7 @@ class NetworkTestbed:
         if ingest_batch < 1:
             raise ValueError("ingest_batch must be >= 1")
         # batch_window_ms > 0 switches the in-path switch nodes to the
-        # compiled batch fast path: packets arriving within a window
+        # columnar fast path: packets arriving within a window
         # are buffered and processed together (capped at batch_max),
         # modeling a recirculation/burst buffer in front of the pipe.
         self.batch_window_ms = batch_window_ms
@@ -128,36 +124,6 @@ class NetworkTestbed:
             "agg-dev", random.Random(2), shards=agg_shards
         )
         self.agg_device.register_application(_APP_ID, schema, self._key, specs)
-        # Backend choice only matters for buffered flushes
-        # (batch_window_ms > 0); the window-0 path stays per-packet.
-        # "auto" calibrates all three paths on the first flushes
-        # (bit-identical, so packets are processed exactly once either
-        # way), picks the fastest, and then stays under the continuous
-        # degradation controller: latency spikes or errors step the
-        # device down the ladder, a cooled-down probe steps it back up.
-        self._lark_backend = AdaptiveBackend(
-            scalar_fn=lambda cids: [
-                self.lark_device.process_quic_packet(c) for c in cids
-            ],
-            batch_fn=self.lark_device.process_quic_batch,
-            columnar_fn=self.lark_device.process_quic_columnar,
-            mode=backend,
-            recalibrate_every=adaptive_recalibrate_every,
-            registry=registry,
-            name="adaptive.lark",
-        )
-        self._agg_backend = AdaptiveBackend(
-            scalar_fn=lambda payloads: [
-                self.agg_device.process_packet(p) for p in payloads
-            ],
-            batch_fn=self.agg_device.process_batch,
-            columnar_fn=self.agg_device.process_columnar,
-            mode=backend,
-            recalibrate_every=adaptive_recalibrate_every,
-            registry=registry,
-            name="adaptive.agg",
-        )
-        self.backend = backend
         self._schema = schema
         self.codec = TransportCookieCodec(
             _APP_ID, schema, self._key, random.Random(3)
@@ -184,24 +150,6 @@ class NetworkTestbed:
         self.cookie_cache.rekey(new_key)
         self.codec = self.cookie_cache.codec
 
-    @property
-    def chosen_backends(self) -> Dict[str, Optional[str]]:
-        """Dispatch target per device: the configured backend, or the
-        measured winner in ``auto`` mode (``None`` while calibrating)."""
-        return {
-            "lark": self._lark_backend.chosen,
-            "agg": self._agg_backend.chosen,
-        }
-
-    @property
-    def backend_history(self) -> Dict[str, List[Dict[str, Any]]]:
-        """Controller transition log per device (calibration picks,
-        degradations, re-promotions)."""
-        return {
-            "lark": list(self._lark_backend.history),
-            "agg": list(self._agg_backend.history),
-        }
-
     # -- topology -----------------------------------------------------------
 
     def _build_topology(self) -> None:
@@ -214,7 +162,7 @@ class NetworkTestbed:
             packets and injects aggregation packets toward the agg.
 
             With ``batch_window_ms`` set, arriving packets queue in a
-            burst buffer and go through the compiled batch fast path
+            burst buffer and go through the columnar fast path
             together; per-packet outcomes are identical, each packet
             just waits out the remainder of its window first.
             """
@@ -246,7 +194,7 @@ class NetworkTestbed:
                 pending, self._pending = self._pending, []
                 if not pending:
                     return
-                results = testbed._lark_backend.run(
+                results = testbed.lark_device.process_quic_columnar(
                     [ConnectionID(p.headers["dcid"]) for p in pending]
                 )
                 for queued, result in zip(pending, results):
@@ -298,7 +246,7 @@ class NetworkTestbed:
                 pending, self._pending = self._pending, []
                 if not pending:
                     return
-                results = testbed._agg_backend.run(
+                results = testbed.agg_device.process_columnar(
                     [p.payload for p in pending]
                 )
                 for queued, result in zip(pending, results):

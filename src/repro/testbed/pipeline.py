@@ -43,23 +43,21 @@ from repro.core.stats import merge_snapshots
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.core.user_stats import UserQuantileConfig
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.switch.columns import PacketColumns, get_numpy
+from repro.switch.columns import BACKENDS, PacketColumns, get_numpy
 from repro.testbed.placement import PlacementController
 
 __all__ = [
     "ReorderInjector",
     "StreamingPipeline",
     "PipelineResult",
-    "BACKENDS",
     "PIPELINE_BACKENDS",
 ]
 
-BACKENDS = ("scalar", "batch", "columnar")
-# The in-process tiers plus the persistent-worker tier (agg stage runs
-# in a long-lived ring-fed process; see repro.testbed.worker).  Kept
-# out of BACKENDS so suites that compare collected per-payload
-# AggResults — which never leave the worker — keep their parametrize
-# surface.
+# The in-process backends plus the persistent-worker tier (columnar,
+# with the agg stage in a long-lived ring-fed process; see
+# repro.testbed.worker).  Kept out of BACKENDS so suites that compare
+# collected per-payload AggResults — which never leave the worker —
+# keep their parametrize surface.
 PIPELINE_BACKENDS = BACKENDS + ("persistent",)
 
 
@@ -170,12 +168,10 @@ class StreamingPipeline:
       baseline: per-event value dicts, a fresh (uncached) cookie
       encode per request, per-packet LarkSwitch and per-payload
       AggSwitch calls.
-    * ``batch`` — batched generation, the cookie encode cache, and
-      the switches' compiled batch fast paths.
-    * ``columnar`` — same, but cookies flow as a
-      :class:`PacketColumns` matrix straight into the vectorized
-      switch kernels (falls back to the batch path when the numpy
-      gate is closed).
+    * ``columnar`` — batched generation and the cookie encode cache;
+      cookies flow as a :class:`PacketColumns` matrix straight into
+      the vectorized switch kernels (their pure-Python form when the
+      numpy gate is closed).
     * ``persistent`` — columnar generate/encode/lark in-process, agg
       folded by a long-lived worker process fed through a
       shared-memory ring (:mod:`repro.testbed.worker`): the parent
@@ -212,7 +208,7 @@ class StreamingPipeline:
         seed: int = 42,
         mode: str = ForwardingMode.PERIODICAL,
         period_ms: float = 1000.0,
-        backend: str = "batch",
+        backend: str = "columnar",
         batch_size: int = 512,
         cache_capacity: int = 4096,
         reorder_probability: float = 0.0,
@@ -279,13 +275,16 @@ class StreamingPipeline:
         self.lark = LarkSwitch(
             "lark-pipe",
             random.Random(1),
+            registry=self.registry,
             decode_memo_capacity=decode_memo_capacity,
         )
         self.lark.register_application(
             app_id, schema, self._key, specs, mode=mode,
             period_ms=period_ms, user_quantiles=quantiles,
         )
-        self.agg = AggSwitch("agg-pipe", random.Random(2))
+        self.agg = AggSwitch(
+            "agg-pipe", random.Random(2), registry=self.registry
+        )
         self.agg.register_application(
             app_id, schema, self._key, specs, user_quantiles=quantiles
         )
@@ -309,6 +308,7 @@ class StreamingPipeline:
         self._next_boundary = period_ms
         self.periods = 0
         self.dead_letters = 0
+        self._merged = 0
         self.corrupted = 0
         self.last_checkpoint: Optional[Dict[str, Any]] = None
         self._checkpoints_taken = 0
@@ -552,15 +552,11 @@ class StreamingPipeline:
     def _lark_segment(self, cids: Any, lo: int, hi: int) -> List[Any]:
         if hi <= lo:
             return []
-        if self.backend in ("columnar", "persistent"):
-            return self.lark.process_quic_columnar(
-                _slice_columns(cids, lo, hi)
-            )
-        if self.backend == "batch":
-            return self.lark.process_quic_batch(cids[lo:hi])
-        return [
-            self.lark.process_quic_packet(cid) for cid in cids[lo:hi]
-        ]
+        if self.backend == "scalar":
+            return [
+                self.lark.process_quic_packet(cid) for cid in cids[lo:hi]
+            ]
+        return self.lark.process_quic_columnar(_slice_columns(cids, lo, hi))
 
     def _corrupt(self, payloads: List[bytes]) -> List[bytes]:
         """Seeded fault stage: flip one byte in a fraction of payloads
@@ -582,11 +578,9 @@ class StreamingPipeline:
         is retried payload by payload so one poison packet cannot
         abort the run — the poison itself becomes a dead letter."""
         try:
-            if self.backend == "columnar":
-                return self.agg.process_columnar(payloads)
-            if self.backend == "batch":
-                return self.agg.process_batch(payloads)
-            return [self.agg.process_packet(p) for p in payloads]
+            if self.backend == "scalar":
+                return [self.agg.process_packet(p) for p in payloads]
+            return self.agg.process_columnar(payloads)
         except Exception:
             if len(payloads) == 1:
                 self.dead_letters += 1
@@ -597,7 +591,9 @@ class StreamingPipeline:
                 results.extend(self._agg_process([payload]))
             return results
 
-    def _dispatch(self, payloads: List[bytes], out: List[Any]) -> int:
+    def _dispatch(
+        self, payloads: List[bytes], out: Optional[List[Any]]
+    ) -> int:
         """Route payloads (through the corruption and reorder fault
         stages when present) into the AggSwitch via the backend-matched
         entry point; count unfoldable payloads as dead letters."""
@@ -613,7 +609,11 @@ class StreamingPipeline:
         self._deliver(payloads, out)
         return len(payloads)
 
-    def _deliver(self, payloads: List[bytes], out: List[Any]) -> None:
+    def _deliver(
+        self, payloads: List[bytes], out: Optional[List[Any]]
+    ) -> None:
+        """Fold one batch of payloads; in-process results are counted
+        here and kept in ``out`` only when it is given."""
         if self.placement is not None:
             # Elastic fleet: partition the batch under the live map
             # (vectorized bucket assignment + stable gather), feed the
@@ -649,13 +649,16 @@ class StreamingPipeline:
             )
             return
         results = self._agg_process(payloads)
-        dead = sum(1 for r in results if not r.merged)
+        merged = sum(1 for r in results if r.merged)
+        self._merged += merged
+        dead = len(results) - merged
         if dead:
             # Every payload reaching this stage is aggregation-bound,
             # so an unmerged one is an undecodable dead letter.
             self.dead_letters += dead
             self.registry.counter("pipeline.dead_letters").inc(dead)
-        out.extend(results)
+        if out is not None:
+            out.extend(results)
 
     # -- run ---------------------------------------------------------------
 
@@ -680,12 +683,12 @@ class StreamingPipeline:
         self._fleet_packets = {}
         self._retired_run_folded = 0
         self._retired_run_unmerged = 0
-        agg_results: List[Any] = []
+        self._merged = 0
+        agg_results: Optional[List[Any]] = [] if collect_results else None
         events = 0
         batches = 0
         payload_count = 0
         scalar = self.backend == "scalar"
-        columnar = self.backend in ("columnar", "persistent")
         workload = self.workload
         # Bounded in-flight micro-batches: the generate/encode stage
         # runs up to ``max_inflight`` batches ahead of the switch
@@ -719,10 +722,8 @@ class StreamingPipeline:
                         self.codec.encode(values_at(i))
                         for i in range(len(cols))
                     ]
-                elif columnar:
-                    cids = self.cache.encode_columns(keys, values_at)
                 else:
-                    cids = self.cache.encode_batch(keys, values_at)
+                    cids = self.cache.encode_columns(keys, values_at)
                 pending.append((cols, cids))
             inflight_peak = max(inflight_peak, len(pending))
             if not pending:
@@ -805,9 +806,7 @@ class StreamingPipeline:
                 )
             self.agg.restore(self.app_id, reply["snapshot"])
         else:
-            merged = sum(
-                1 for r in agg_results if getattr(r, "merged", False)
-            )
+            merged = self._merged
         return PipelineResult(
             events=events,
             batches=batches,
@@ -819,7 +818,7 @@ class StreamingPipeline:
             reference=reference,
             register_state=self.agg.merge(self.app_id),
             cache_stats=self.cache.stats(),
-            agg_results=agg_results if collect_results else [],
+            agg_results=agg_results or [],
             dead_letters=self.dead_letters,
             checkpoints=self._checkpoints_taken,
             user_report=(

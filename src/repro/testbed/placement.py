@@ -265,8 +265,7 @@ class PartitionMap:
 class PlacementController:
     """Epoch-boundary placement decisions under hysteresis + cooldown.
 
-    Sits next to :class:`~repro.testbed.executor.AdaptiveBackend` in
-    the control plane: the data plane feeds it per-bucket packet
+    Lives in the control plane: the data plane feeds it per-bucket packet
     counts (``observe``), and at each epoch barrier the runtime asks
     it for the next epoch's map (``end_epoch``).  Decisions are pure
     functions of the observed loads and the epoch counter — sim-time,

@@ -45,23 +45,21 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.chaos.shard_faults import ShardCrash, ShardFaultPlan
 from repro.core.stats import merge_snapshots
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.switch.columns import PacketColumns
+from repro.switch.columns import BACKENDS, PacketColumns, check_backend
 from repro.testbed.executor import (
     ShardSpec,
     _build_switch,
+    count_folded,
     partition_columns,
     partition_packets,
     render_report,
+    shard_processor,
 )
 from repro.testbed.placement import PlacementController
 
 __all__ = ["ShardSupervisor", "SupervisedRunResult"]
 
 _LOG = logging.getLogger(__name__)
-
-# Degradation ladder positions (gauge value per backend tier).
-_TIERS = {"scalar": 0, "batch": 1, "columnar": 2}
-
 
 def _run_shard_epoch(
     args: Tuple[
@@ -96,34 +94,13 @@ def _run_shard_epoch(
         if plan is not None
         else None
     )
-    if spec.kind == "lark":
-        from repro.quic.connection_id import ConnectionID
-
-        items: List[Any] = [ConnectionID(p) for p in packets]
-        process = {
-            "scalar": lambda chunk: [
-                switch.process_quic_packet(c) for c in chunk
-            ],
-            "batch": switch.process_quic_batch,
-            "columnar": switch.process_quic_columnar,
-        }[backend]
-    else:
-        items = list(packets)
-        process = {
-            "scalar": lambda chunk: [switch.process_packet(p) for p in chunk],
-            "batch": switch.process_batch,
-            "columnar": switch.process_columnar,
-        }[backend]
+    process = shard_processor(spec, switch, backend)
     folded = 0
-    for batch_index, start in enumerate(range(0, len(items), chunk_size)):
+    for batch_index, start in enumerate(range(0, len(packets), chunk_size)):
         if injector is not None:
             injector.before_batch(batch_index)
-        for result in process(items[start:start + chunk_size]):
-            if getattr(result, "merged", False) or (
-                getattr(result, "decoded_values", None) is not None
-            ):
-                folded += 1
-    counters = {"packets": len(items), "folded": folded}
+        folded += count_folded(process(packets[start:start + chunk_size]))
+    counters = {"packets": len(packets), "folded": folded}
     return shard, epoch, switch.checkpoint(spec.app_id), counters
 
 
@@ -264,8 +241,7 @@ class ShardSupervisor:
             shards = placement.map.shards
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if backend not in ("scalar", "batch", "columnar"):
-            raise ValueError("unknown backend %r" % backend)
+        check_backend(backend)
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         if checkpoint_batches < 1:
@@ -462,7 +438,7 @@ class ShardSupervisor:
                 self.registry.counter("supervisor.degradations").inc()
         if backends:
             self.registry.gauge("supervisor.backend_tier").set(
-                _TIERS[backends[-1]]
+                BACKENDS.index(backends[-1])
             )
         return SupervisedRunResult(
             snapshot=snapshot or {},
@@ -707,7 +683,7 @@ class ShardSupervisor:
                 self.registry.counter("supervisor.degradations").inc()
         if backends:
             self.registry.gauge("supervisor.backend_tier").set(
-                _TIERS[backends[-1]]
+                BACKENDS.index(backends[-1])
             )
         return SupervisedRunResult(
             snapshot=snapshot or {},

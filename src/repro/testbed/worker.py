@@ -51,7 +51,13 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.shard_faults import ShardCrash, ShardFaultPlan
-from repro.testbed.executor import ShardSpec, _build_switch
+from repro.switch.columns import PacketColumns, check_backend
+from repro.testbed.executor import (
+    ShardSpec,
+    _build_switch,
+    count_folded,
+    shard_processor,
+)
 from repro.testbed.shm_ring import (
     KIND_CONTROL,
     ColumnRing,
@@ -59,46 +65,12 @@ from repro.testbed.shm_ring import (
     shared_memory_available,
 )
 
-__all__ = ["ShardWorker", "WorkerDied", "worker_backends"]
+__all__ = ["ShardWorker", "WorkerDied"]
 
 
 class WorkerDied(RuntimeError):
     """The persistent worker is gone (crash or kill) — the caller must
     respawn and replay from its last checkpoint."""
-
-
-def worker_backends(spec: ShardSpec, switch) -> Dict[str, Any]:
-    """The per-backend batch callables for a replica, mirroring
-    :func:`repro.testbed.executor._run_shard` exactly (the differential
-    suite leans on the two staying in lockstep)."""
-    if spec.kind == "lark":
-        from repro.quic.connection_id import ConnectionID
-
-        def scalar(rows):
-            return [
-                switch.process_quic_packet(ConnectionID(r)) for r in rows
-            ]
-
-        def batch(rows):
-            return switch.process_quic_batch(
-                [ConnectionID(r) for r in rows]
-            )
-
-        def columnar(columns):
-            return switch.process_quic_columnar(columns)
-
-    else:
-
-        def scalar(rows):
-            return [switch.process_packet(bytes(r)) for r in rows]
-
-        def batch(rows):
-            return switch.process_batch([bytes(r) for r in rows])
-
-        def columnar(columns):
-            return switch.process_columnar(columns)
-
-    return {"scalar": scalar, "batch": batch, "columnar": columnar}
 
 
 def _fold_snapshot(spec: ShardSpec, switch) -> Dict[str, List[int]]:
@@ -118,8 +90,8 @@ def _worker_main(
     """Child entry point: attach the ring, build the replica, loop."""
     ring = ColumnRing.attach(descriptor)
     switch = _build_switch(spec, shard_index)
-    backends = worker_backends(spec, switch)
-    process = backends[backend]
+    active = backend
+    process = shard_processor(spec, switch, active)
     injector = None
     local_batch = 0
     packets = 0
@@ -130,14 +102,6 @@ def _worker_main(
     # built, so the spawn import storm cannot bleed into (and distort)
     # the caller's steady-state ingest window.
     conn.send({"ready": True})
-
-    def fold_results(results) -> None:
-        nonlocal folded
-        for result in results:
-            if getattr(result, "merged", False) or (
-                getattr(result, "decoded_values", None) is not None
-            ):
-                folded += 1
 
     try:
         while True:
@@ -161,7 +125,8 @@ def _worker_main(
                         map_version,
                     ) = command
                     if epoch_backend:
-                        process = backends[epoch_backend]
+                        active = epoch_backend
+                        process = shard_processor(spec, switch, active)
                     local_batch = 0
                     injector = (
                         plan.injector(
@@ -206,8 +171,8 @@ def _worker_main(
                     conn.send(reply)
                     if reset:
                         switch = _build_switch(spec, shard_index)
-                        backends = worker_backends(spec, switch)
-                        process = backends[backend]
+                        active = backend
+                        process = shard_processor(spec, switch, active)
                         packets = 0
                         folded = 0
                         local_batch = 0
@@ -232,12 +197,11 @@ def _worker_main(
                     os.kill(os.getpid(), signal.SIGKILL)
             local_batch += 1
             n = view.n_rows
-            columnar = process is backends["columnar"]
+            columnar = active == "columnar"
             try:
-                results = process(
-                    view.columns() if columnar else view.rows()
+                folded += count_folded(
+                    process(view.columns() if columnar else view.rows())
                 )
-                fold_results(results)
             except Exception:
                 # Poison isolation, mirroring StreamingPipeline's
                 # _agg_process: a batch entry point that raises (truly
@@ -245,16 +209,10 @@ def _worker_main(
                 # retried row by row so one poison packet cannot kill
                 # the worker — the poison stays unfolded (a dead
                 # letter the parent reads off the counters).
-                from repro.switch.columns import PacketColumns
-
                 for row in view.rows():
                     try:
-                        fold_results(
-                            process(
-                                PacketColumns([row])
-                                if columnar
-                                else [row]
-                            )
+                        folded += count_folded(
+                            process(PacketColumns([row]) if columnar else [row])
                         )
                     except Exception:
                         pass
@@ -290,8 +248,7 @@ class ShardWorker:
             raise RuntimeError(
                 "persistent workers need POSIX shared memory"
             )
-        if backend not in ("scalar", "batch", "columnar"):
-            raise ValueError("unknown backend %r" % backend)
+        check_backend(backend)
         self.spec = spec
         self.shard_index = shard_index
         self.backend = backend
@@ -306,7 +263,14 @@ class ShardWorker:
         self.restarts = 0
         self._proc = None
         self._conn = None
-        self._spawn()
+        try:
+            self._spawn()
+        except BaseException:
+            # A child that never became ready must not outlive the
+            # constructor, and nobody else holds the ring to unlink it.
+            self._reap()
+            self.ring.close()
+            raise
 
     # -- process lifecycle -------------------------------------------------
 
@@ -315,7 +279,7 @@ class ShardWorker:
 
         ctx = mp.get_context("spawn")
         self._conn, child_conn = ctx.Pipe()
-        self._proc = ctx.Process(
+        proc = ctx.Process(
             target=_worker_main,
             args=(
                 self.ring.descriptor,
@@ -327,7 +291,8 @@ class ShardWorker:
             ),
             daemon=True,
         )
-        self._proc.start()
+        proc.start()
+        self._proc = proc
         child_conn.close()
         # Consume the readiness message so replies stay in lockstep
         # with commands (and spawn cost stays out of ingest timings).
@@ -358,17 +323,22 @@ class ShardWorker:
         """Replace a dead worker on the SAME ring segment: discard
         whatever the corpse left unconsumed, start a fresh replica and
         (optionally) restore its last checkpoint for replay."""
+        self._reap()
+        self.ring.reset()
+        self.restarts += 1
+        self._spawn()
+        if checkpoint is not None:
+            self.restore(checkpoint)
+
+    def _reap(self) -> None:
+        """Kill the child if it still runs, join it, close the pipe."""
         if self._proc is not None:
             if self._proc.is_alive():
                 self._proc.kill()
             self._proc.join(timeout=10.0)
         if self._conn is not None:
             self._conn.close()
-        self.ring.reset()
-        self.restarts += 1
-        self._spawn()
-        if checkpoint is not None:
-            self.restore(checkpoint)
+            self._conn = None
 
     def kill(self) -> None:
         """SIGKILL the worker (chaos tests)."""

@@ -1,9 +1,10 @@
 """Chaos coverage for the post-fast-path data plane.
 
-The original chaos suite predates the batch/columnar entry points and
+The original chaos suite predates the columnar entry points and
 sharded AggSwitch banks; it only ever exercised the scalar loop on a
 single bank.  These tests re-run the crash/loss scenarios with the
-fast paths and shards engaged and require two things:
+columnar kernels (with numpy on and forced off) and shards engaged
+and require two things:
 
 * every scenario still self-heals to a consistent, verified report;
 * the run **fingerprint** — ground truth, final report, repair and
@@ -18,19 +19,22 @@ import pytest
 
 from repro.chaos import ChaosHarness, ChaosScenario, standard_outage
 
-BACKENDS = ("scalar", "batch", "columnar")
+from tests.differential.workloads import FAST_PATHS, PATHS, backend_of, gate
 
 #: CI sweeps this (same knob as tests/chaos/test_chaos.py).
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "7"))
 
 
 def _run(seed=CHAOS_SEED, backend="scalar", agg_shards=1, scenario=None):
+    """``backend`` is a differential path: ``no_numpy`` runs the
+    columnar backend with the numpy gate forced closed."""
     harness = ChaosHarness(
-        seed=seed, backend=backend, agg_shards=agg_shards
+        seed=seed, backend=backend_of(backend), agg_shards=agg_shards
     )
-    if scenario is not None:
-        harness.apply(scenario)
-    return harness.run()
+    with gate(backend):
+        if scenario is not None:
+            harness.apply(scenario)
+        return harness.run()
 
 
 def _outage():
@@ -40,7 +44,7 @@ def _outage():
 
 
 class TestLarkCrashOnFastPaths:
-    @pytest.mark.parametrize("backend", ["batch", "columnar"])
+    @pytest.mark.parametrize("backend", FAST_PATHS)
     def test_kill_and_restart_mid_run_stays_consistent(self, backend):
         """The acceptance case: LarkSwitch killed and restarted
         mid-run while the data plane runs a fast path over sharded
@@ -55,7 +59,7 @@ class TestLarkCrashOnFastPaths:
 
     def test_fingerprint_identical_across_backends(self):
         reference = _run(scenario=_outage()).fingerprint()
-        for backend in ("batch", "columnar"):
+        for backend in FAST_PATHS:
             assert (
                 _run(backend=backend, scenario=_outage()).fingerprint()
                 == reference
@@ -71,7 +75,7 @@ class TestLarkCrashOnFastPaths:
 
 
 class TestStandardOutageOnFastPaths:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", PATHS)
     def test_standard_outage_self_heals(self, backend):
         result = _run(
             backend=backend, agg_shards=2, scenario=standard_outage()

@@ -15,7 +15,10 @@ Everything is seeded and deterministic; the module skips where POSIX
 shared memory is unavailable.
 """
 
+import gc
+import multiprocessing
 import os
+import sys
 
 import pytest
 
@@ -25,7 +28,7 @@ from repro.testbed.executor import ShardExecutor, ShardSpec
 from repro.testbed.placement import PlacementController
 from repro.testbed.shm_ring import shared_memory_available
 from repro.testbed.supervisor import ShardSupervisor
-from repro.testbed.worker import ShardWorker
+from repro.testbed.worker import ShardWorker, WorkerDied
 
 from tests.differential.workloads import APP_ID, DifferentialWorkload
 
@@ -139,11 +142,11 @@ class TestKillMidEpoch:
         packets = wl.payloads("adversarial", 1200)
         plan = (
             ShardFaultPlan(seed=5)
-            .degrade_backend(at_epoch=2, to="batch")
+            .degrade_backend(at_epoch=2, to="scalar")
             .kill_shard(1, at_batch=3)
         )
         fault_free = ShardFaultPlan(seed=5).degrade_backend(
-            at_epoch=2, to="batch"
+            at_epoch=2, to="scalar"
         )
         baseline = _supervisor(spec, plan=fault_free).run(packets)
         chaos = _supervisor(spec, plan=plan).run(packets)
@@ -307,3 +310,30 @@ class TestSoak:
             assert worker.wait_dead(5.0)
         finally:
             worker.close()
+
+
+class TestSpawnFailure:
+    def test_failed_readiness_releases_ring_and_child(self, monkeypatch):
+        """A worker whose readiness reply never arrives must raise
+        without leaving its ring segment linked, its child running, or
+        an unraisable error for the garbage collector to print."""
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+
+        def lost_reply(self, timeout_s=None):
+            raise WorkerDied("readiness reply lost")
+
+        monkeypatch.setattr(ShardWorker, "_recv_reply", lost_reply)
+        spec = _agg_spec(DifferentialWorkload(seed=7))
+        shm_before = _shm_entries()
+        children_before = set(multiprocessing.active_children())
+        try:
+            ShardWorker(spec, 0, backend="columnar")
+        except WorkerDied:
+            pass
+        else:  # pragma: no cover - the patched reply always fails
+            pytest.fail("ShardWorker survived a failed readiness reply")
+        gc.collect()
+        assert _shm_entries() - shm_before == set()
+        assert set(multiprocessing.active_children()) <= children_before
+        assert unraisable == []

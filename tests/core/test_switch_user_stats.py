@@ -12,6 +12,8 @@ from repro.core.stats import StatKind, StatSpec
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.core.user_stats import UserQuantileConfig
 
+from tests.differential.workloads import PATHS, gate
+
 KEY = bytes(range(16))
 APP = 0x31
 
@@ -57,19 +59,18 @@ class TestLarkObservation:
         assert report["events"] == 4
         assert report["quantiles"]["p99"] == 3
 
-    def test_batch_and_columnar_match_scalar(self):
+    def test_columnar_with_and_without_numpy_match_scalar(self):
         users = [1, 2, 1, 3, 1, 2, 3, 3, 3, 7]
         snapshots = []
-        for backend in ("scalar", "batch", "columnar"):
+        for path in PATHS:
             lark, codec = _setup()
             cids = _cookies(codec, users)
-            if backend == "scalar":
+            if path == "scalar":
                 for cid in cids:
                     lark.process_quic_packet(cid)
-            elif backend == "batch":
-                lark.process_quic_batch(cids)
             else:
-                lark.process_quic_columnar(cids)
+                with gate(path):
+                    lark.process_quic_columnar(cids)
             snapshots.append(lark._apps[APP].users.snapshot())
         assert snapshots[0] == snapshots[1] == snapshots[2]
 

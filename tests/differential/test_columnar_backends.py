@@ -1,8 +1,9 @@
-"""Differential proof that all three execution backends are bit-identical.
+"""Differential proof that the execution backends are bit-identical.
 
 Extends ``test_scalar_vs_batch`` with the columnar axis: every workload
-shape runs through the scalar loop, the compiled batch path AND the
-vectorized columnar kernels, at five seeds, and every observable —
+shape runs through the scalar loop, the columnar kernels with numpy
+forced off AND the vectorized columnar kernels, at five seeds, and
+every observable —
 per-packet results, digests, decoded values, raw register contents,
 statistics reports — must match byte for byte.  The same streams are
 then replayed with numpy force-disabled (:func:`force_numpy`), proving
@@ -15,20 +16,23 @@ import pytest
 
 from repro.core.aggregation import ForwardingMode
 from repro.switch.columns import force_numpy, numpy_enabled
-from repro.testbed.executor import AdaptiveBackend, ShardExecutor, ShardSpec
+from repro.testbed.executor import ShardExecutor, ShardSpec
 from repro.workloads.adcampaign import iter_batches
 
 from tests.differential.workloads import (
     APP_ID,
+    FAST_PATHS,
+    PATHS,
     SHAPES,
     DifferentialWorkload,
+    backend_of,
+    gate,
     register_state,
 )
 
 SEEDS = (11, 23, 37, 41, 59)
 BATCH_SIZES = {11: 1, 23: 7, 37: 64, 41: 113, 59: 4096}
 PACKETS = 240
-FAST_BACKENDS = ("batch", "columnar")
 
 
 @pytest.fixture
@@ -41,45 +45,39 @@ def no_numpy():
         force_numpy(None)
 
 
-def _run_lark(switch, cids, backend, batch_size):
-    if backend == "scalar":
+def _run_chunked(process, items, path, batch_size):
+    results = []
+    with gate(path):
+        for chunk in iter_batches(items, batch_size):
+            results.extend(process(chunk))
+    return results
+
+
+def _run_lark(switch, cids, path, batch_size):
+    if path == "scalar":
         return [switch.process_quic_packet(cid) for cid in cids]
-    process = (
-        switch.process_quic_batch if backend == "batch"
-        else switch.process_quic_columnar
-    )
-    results = []
-    for chunk in iter_batches(cids, batch_size):
-        results.extend(process(chunk))
-    return results
+    return _run_chunked(switch.process_quic_columnar, cids, path, batch_size)
 
 
-def _run_agg(switch, payloads, backend, batch_size):
-    if backend == "scalar":
+def _run_agg(switch, payloads, path, batch_size):
+    if path == "scalar":
         return [switch.process_packet(p) for p in payloads]
-    process = (
-        switch.process_batch if backend == "batch"
-        else switch.process_columnar
-    )
-    results = []
-    for chunk in iter_batches(payloads, batch_size):
-        results.extend(process(chunk))
-    return results
+    return _run_chunked(switch.process_columnar, payloads, path, batch_size)
 
 
 def _assert_lark_identical(wl, shape, seed, mode):
     cids = wl.cids(shape, PACKETS)
     scalar = wl.new_lark(mode=mode)
     scalar_results = _run_lark(scalar, cids, "scalar", 0)
-    for backend in FAST_BACKENDS:
+    for path in FAST_PATHS:
         fast = wl.new_lark(mode=mode)
-        fast_results = _run_lark(fast, cids, backend, BATCH_SIZES[seed])
+        fast_results = _run_lark(fast, cids, path, BATCH_SIZES[seed])
         assert len(fast_results) == len(scalar_results)
         for i, (s, f) in enumerate(zip(scalar_results, fast_results)):
             assert f == s, "packet %d diverged (%s, seed %d, %s)" % (
-                i, shape, seed, backend
+                i, shape, seed, path
             )
-        assert register_state(fast) == register_state(scalar), backend
+        assert register_state(fast) == register_state(scalar), path
         assert fast.stats_report(APP_ID) == scalar.stats_report(APP_ID)
 
 
@@ -88,22 +86,22 @@ def _assert_agg_identical(wl, shape, seed, shards=1):
     assert payloads, "workload produced no aggregation payloads"
     scalar = wl.new_agg(shards=shards)
     scalar_results = _run_agg(scalar, payloads, "scalar", 0)
-    for backend in FAST_BACKENDS:
+    for path in FAST_PATHS:
         fast = wl.new_agg(shards=shards)
-        fast_results = _run_agg(fast, payloads, backend, BATCH_SIZES[seed])
-        assert fast_results == scalar_results, backend
-        assert register_state(fast) == register_state(scalar), backend
+        fast_results = _run_agg(fast, payloads, path, BATCH_SIZES[seed])
+        assert fast_results == scalar_results, path
+        assert register_state(fast) == register_state(scalar), path
         assert fast.merge(APP_ID) == scalar.merge(APP_ID)
         assert fast.report(APP_ID) == scalar.report(APP_ID)
 
 
-# -- three-way backend identity ---------------------------------------------
+# -- three-way path identity ---------------------------------------------
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_lark_backends_bit_identical(shape, seed):
-    """Periodical lark: scalar == batch == columnar on every shape."""
+    """Periodical lark: scalar == no-numpy == columnar on every shape."""
     _assert_lark_identical(
         DifferentialWorkload(seed), shape, seed, ForwardingMode.PERIODICAL
     )
@@ -122,7 +120,7 @@ def test_lark_backends_per_packet_mode(shape, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_agg_backends_bit_identical(shape, seed):
-    """AggSwitch: scalar == batch == columnar, single bank."""
+    """AggSwitch: scalar == no-numpy == columnar, single bank."""
     _assert_agg_identical(DifferentialWorkload(seed), shape, seed)
 
 
@@ -140,8 +138,8 @@ def test_agg_backends_bit_identical_sharded(seed):
 @pytest.mark.parametrize("seed", SEEDS[:2])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_backends_identical_without_numpy(no_numpy, shape, seed):
-    """With the numpy gate closed the columnar entry points fall back
-    to the batch path — identity must hold on the pure-Python kernels."""
+    """With the numpy gate closed the columnar entry points run their
+    pure-Python kernel — identity must hold on it throughout."""
     assert not numpy_enabled()
     wl = DifferentialWorkload(seed)
     _assert_lark_identical(wl, shape, seed, ForwardingMode.PERIODICAL)
@@ -197,8 +195,8 @@ def _lark_spec(wl):
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
-@pytest.mark.parametrize("backend", ("scalar", "batch", "columnar"))
-def test_shard_executor_agg_matches_single_switch(seed, backend):
+@pytest.mark.parametrize("path", PATHS)
+def test_shard_executor_agg_matches_single_switch(seed, path):
     """Sequential sharded execution folds back to the single-switch
     snapshot and report, whatever the per-shard backend."""
     wl = DifferentialWorkload(seed)
@@ -207,9 +205,10 @@ def test_shard_executor_agg_matches_single_switch(seed, backend):
     for p in payloads:
         single.process_packet(p)
     executor = ShardExecutor(
-        _agg_spec(wl), shards=3, processes=1, backend=backend
+        _agg_spec(wl), shards=3, processes=1, backend=backend_of(path)
     )
-    result = executor.run(payloads)
+    with gate(path):
+        result = executor.run(payloads)
     assert not result.used_pool
     assert result.total_packets == len(payloads)
     assert result.snapshot == single.merge(APP_ID)
@@ -271,48 +270,3 @@ def test_shard_executor_falls_back_when_pool_creation_fails(monkeypatch):
     assert executor.last_error is not None
     reference = ShardExecutor(spec, shards=2, processes=1).run(payloads)
     assert result.snapshot == reference.snapshot
-
-
-# -- testbed adaptive backend ------------------------------------------------
-
-
-def test_adaptive_backend_auto_picks_and_sticks():
-    """Auto mode times batch and scalar probes, then locks the winner;
-    every item is processed exactly once through a bit-identical path."""
-    calls = {"scalar": 0, "batch": 0}
-
-    def scalar_fn(items):
-        calls["scalar"] += 1
-        return list(items)
-
-    def slow_batch(items):
-        calls["batch"] += 1
-        for _ in range(20000):
-            pass
-        return list(items)
-
-    chooser = AdaptiveBackend(scalar_fn, slow_batch, mode="auto")
-    out = []
-    for _ in range(8):
-        out.extend(chooser.run([1, 2, 3]))
-    # 4 calibration probes (2 per candidate), then the faster scalar
-    # path takes every remaining flush.
-    assert chooser.chosen == "scalar"
-    assert calls["batch"] == 2
-    assert len(out) == 8 * 3
-    with pytest.raises(ValueError):
-        AdaptiveBackend(scalar_fn, slow_batch, mode="gpu")
-
-
-def test_adaptive_backend_fixed_modes_dispatch_directly():
-    tagged = {
-        "scalar": lambda items: ["s"] * len(items),
-        "batch": lambda items: ["b"] * len(items),
-        "columnar": lambda items: ["c"] * len(items),
-    }
-    for mode, tag in (("scalar", "s"), ("batch", "b"), ("columnar", "c")):
-        chooser = AdaptiveBackend(
-            tagged["scalar"], tagged["batch"], tagged["columnar"], mode=mode
-        )
-        assert chooser.run([0, 0]) == [tag, tag]
-        assert chooser.chosen == mode

@@ -3,7 +3,7 @@
 A long-lived shard worker fed over a shared-memory columnar ring is
 only an optimization if it changes nothing observable: every run that
 streams through :mod:`repro.testbed.worker` must equal the in-process
-scalar / batch / columnar paths byte for byte — merged register
+scalar / no-numpy / columnar paths byte for byte — merged register
 snapshots, rendered reports, per-shard packet/fold counters, streamed
 pipeline observables — at five seeds, across the uniform / zipfian /
 adversarial workload shapes, sharded and unsharded, for both switch
@@ -22,8 +22,11 @@ from repro.workloads.adcampaign import AdCampaignWorkload
 
 from tests.differential.workloads import (
     APP_ID,
+    PATHS,
     SHAPES,
     DifferentialWorkload,
+    backend_of,
+    gate,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -33,7 +36,6 @@ pytestmark = pytest.mark.skipif(
 
 SEEDS = (11, 23, 37, 41, 59)
 PACKETS = 400
-INLINE_BACKENDS = ("scalar", "batch", "columnar")
 
 
 def _agg_spec(wl: DifferentialWorkload) -> ShardSpec:
@@ -61,11 +63,13 @@ def _observables(result):
     )
 
 
-def _inline(spec, packets, shards, backend):
+def _inline(spec, packets, shards, path):
     executor = ShardExecutor(
-        spec, shards=shards, processes=1, backend=backend, chunk_size=96
+        spec, shards=shards, processes=1, backend=backend_of(path),
+        chunk_size=96,
     )
-    return _observables(executor.run(packets))
+    with gate(path):
+        return _observables(executor.run(packets))
 
 
 class TestExecutorSharded:
@@ -90,9 +94,9 @@ class TestExecutorSharded:
                 result = executor.run(packets)
                 assert result.used_workers, (shape, result.fallback_cause)
                 got = _observables(result)
-                for backend in INLINE_BACKENDS:
-                    assert got == _inline(spec, packets, 2, backend), (
-                        seed, shape, backend,
+                for path in PATHS:
+                    assert got == _inline(spec, packets, 2, path), (
+                        seed, shape, path,
                     )
 
     @pytest.mark.parametrize("seed", SEEDS[:2])
@@ -108,9 +112,9 @@ class TestExecutorSharded:
                 result = executor.run(packets)
                 assert result.used_workers, (shape, result.fallback_cause)
                 got = _observables(result)
-                for backend in INLINE_BACKENDS:
-                    assert got == _inline(spec, packets, 2, backend), (
-                        seed, shape, backend,
+                for path in PATHS:
+                    assert got == _inline(spec, packets, 2, path), (
+                        seed, shape, path,
                     )
 
     def test_skewed_partition_matches(self):
@@ -144,29 +148,33 @@ class TestExecutorUnsharded:
                 result = executor.run(packets)
                 assert result.used_workers, (shape, result.fallback_cause)
                 got = _observables(result)
-                for backend in INLINE_BACKENDS:
-                    assert got == _inline(spec, packets, 1, backend), (
-                        seed, shape, backend,
+                for path in PATHS:
+                    assert got == _inline(spec, packets, 1, path), (
+                        seed, shape, path,
                     )
 
 
 class TestWorkerBackendSelection:
-    """The worker honors non-columnar per-shard backends too: the ring
-    transport is orthogonal to the compute tier it feeds."""
+    """The worker honors the scalar backend and the numpy-off columnar
+    kernel too: the ring transport is orthogonal to the compute path it
+    feeds."""
 
-    @pytest.mark.parametrize("backend", ("scalar", "batch"))
-    def test_worker_runs_requested_backend(self, backend):
+    @pytest.mark.parametrize("path", ("scalar", "no_numpy"))
+    def test_worker_runs_requested_backend(self, path, monkeypatch):
+        if path == "no_numpy":
+            # Spawned workers read the gate from the environment.
+            monkeypatch.setenv("REPRO_NO_NUMPY", "1")
         wl = DifferentialWorkload(seed=SEEDS[2])
         spec = _agg_spec(wl)
         packets = wl.payloads("zipfian", PACKETS)
-        with ShardExecutor(
-            spec, shards=2, backend=backend, chunk_size=96,
+        with gate(path), ShardExecutor(
+            spec, shards=2, backend=backend_of(path), chunk_size=96,
             persistent=True,
         ) as executor:
             result = executor.run(packets)
             assert result.used_workers, result.fallback_cause
             assert _observables(result) == _inline(
-                spec, packets, 2, backend
+                spec, packets, 2, path
             )
 
 
@@ -177,7 +185,7 @@ DURATION_MS = 400.0
 PERIOD_MS = 100.0  # four forwarding-period boundaries per run
 
 
-def _pipeline_run(backend, seed, mode=ForwardingMode.PERIODICAL,
+def _pipeline_run(path, seed, mode=ForwardingMode.PERIODICAL,
                   on_batch=None, **kw):
     workload = AdCampaignWorkload(num_users=80, seed=seed)
     pipe = StreamingPipeline(
@@ -185,13 +193,14 @@ def _pipeline_run(backend, seed, mode=ForwardingMode.PERIODICAL,
         seed=seed,
         mode=mode,
         period_ms=PERIOD_MS,
-        backend=backend,
+        backend=backend_of(path),
         batch_size=64,
         on_batch=on_batch,
         **kw,
     )
     try:
-        result = pipe.run(RATE, DURATION_MS)
+        with gate(path):
+            result = pipe.run(RATE, DURATION_MS)
     finally:
         pipe.close()
     return (
@@ -213,18 +222,18 @@ class TestPipelineDifferential:
         persistent stream must flush and fold at the same instants."""
         got, result = _pipeline_run("persistent", seed)
         assert result.counts_match_reference()
-        for backend in INLINE_BACKENDS:
-            assert got == _pipeline_run(backend, seed)[0], (seed, backend)
+        for path in PATHS:
+            assert got == _pipeline_run(path, seed)[0], (seed, path)
 
     def test_per_packet_matches_inline_backends(self):
         got, result = _pipeline_run(
             "persistent", SEEDS[1], mode=ForwardingMode.PER_PACKET
         )
         assert result.counts_match_reference()
-        for backend in INLINE_BACKENDS:
+        for path in PATHS:
             assert got == _pipeline_run(
-                backend, SEEDS[1], mode=ForwardingMode.PER_PACKET
-            )[0], backend
+                path, SEEDS[1], mode=ForwardingMode.PER_PACKET
+            )[0], path
 
 
 class TestPipelineMidRunRekey:

@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.aggregation import ForwardingMode
 from repro.obs.registry import MetricsRegistry
+from repro.switch.columns import BACKENDS
 from repro.testbed.executor import ShardExecutor, ShardSpec
 from repro.testbed.pipeline import StreamingPipeline
 from repro.testbed.placement import PartitionMap, PlacementController
@@ -34,7 +35,6 @@ from tests.differential.workloads import (
 
 SEEDS = (11, 23, 37)
 PACKETS = 400
-BACKENDS = ("scalar", "columnar")
 
 needs_shm = pytest.mark.skipif(
     not shared_memory_available(),

@@ -9,7 +9,7 @@ Three obligations:
   within the DKW rank bound of the exact tracker's on the same
   stream, and its distinct-user KMV estimate near the true count.
 * **Backend / batch-shape invariance** — for a fixed mode, scalar,
-  batch and columnar ingest must agree on the tracker's *sampled
+  numpy-off columnar and columnar ingest must agree on the tracker's *sampled
   state* (entries, items, dropped) and the user report for every
   micro-batch size.  The ``evictions`` counter is excluded when the
   columnar path is involved: grouped observes fold duplicate keys
@@ -20,8 +20,10 @@ Three obligations:
 import pytest
 
 from repro.switch.columns import force_numpy
-from repro.testbed.pipeline import BACKENDS, StreamingPipeline
+from repro.testbed.pipeline import StreamingPipeline
 from repro.workloads.scale import ScaleWorkload
+
+from tests.differential.workloads import PATHS, backend_of, gate
 
 RATE = 4000.0
 DURATION_MS = 500.0
@@ -136,12 +138,15 @@ class TestBackendInvariance:
     def test_backends_agree_on_sampled_state(self, mode):
         states = {}
         reports = {}
-        for backend in BACKENDS:
-            pipe, result = _run(mode, backend=backend)
-            states[backend] = _tracker_state(pipe)
-            reports[backend] = result.user_report
-        assert states["scalar"] == states["batch"] == states["columnar"]
-        assert reports["scalar"] == reports["batch"] == reports["columnar"]
+        for path in PATHS:
+            with gate(path):
+                pipe, result = _run(mode, backend=backend_of(path))
+            states[path] = _tracker_state(pipe)
+            reports[path] = result.user_report
+        assert states["scalar"] == states["no_numpy"] == states["columnar"]
+        assert (
+            reports["scalar"] == reports["no_numpy"] == reports["columnar"]
+        )
 
     @pytest.mark.parametrize("mode", ["exact", "sketch"])
     def test_batch_size_invariance(self, mode):

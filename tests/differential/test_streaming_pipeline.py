@@ -11,10 +11,13 @@ rekey must stay exact on every tier at once.
 import pytest
 
 from repro.core.aggregation import ForwardingMode
+from repro.obs.registry import MetricsRegistry
 from repro.switch.columns import force_numpy
-from repro.testbed.pipeline import BACKENDS, StreamingPipeline
+from repro.testbed.pipeline import StreamingPipeline
 from repro.workloads.adcampaign import AdCampaignWorkload
 from repro.workloads.crowd import CrowdWorkload
+
+from tests.differential.workloads import FAST_PATHS, PATHS, backend_of, gate
 
 RATE = 3000.0
 DURATION_MS = 400.0
@@ -23,20 +26,22 @@ ONE_SHOT = 1 << 20  # batch larger than any stream: a one-shot run
 BATCH_SIZES = (1, 7, 64, ONE_SHOT)
 
 
-def _run(backend, batch_size, reorder=0.0, mode=ForwardingMode.PERIODICAL,
-         workload=None, on_batch=None):
+def _run(path, batch_size, reorder=0.0, mode=ForwardingMode.PERIODICAL,
+         workload=None, on_batch=None, registry=None):
     workload = workload or AdCampaignWorkload(num_users=80, seed=11)
     pipe = StreamingPipeline(
         workload,
         seed=11,
         mode=mode,
         period_ms=PERIOD_MS,
-        backend=backend,
+        backend=backend_of(path),
         batch_size=batch_size,
         reorder_probability=reorder,
         on_batch=on_batch,
+        registry=registry,
     )
-    return pipe, pipe.run(RATE, DURATION_MS, collect_results=True)
+    with gate(path):
+        return pipe, pipe.run(RATE, DURATION_MS, collect_results=True)
 
 
 def _observables(result):
@@ -60,7 +65,7 @@ def no_numpy():
 
 
 class TestBatchSizeInvariance:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", PATHS)
     def test_micro_batched_equals_one_shot(self, backend):
         _, one_shot = _run(backend, ONE_SHOT)
         assert one_shot.counts_match_reference()
@@ -70,7 +75,7 @@ class TestBatchSizeInvariance:
                 backend, batch_size
             )
 
-    @pytest.mark.parametrize("backend", ("batch", "columnar"))
+    @pytest.mark.parametrize("backend", FAST_PATHS)
     def test_micro_batched_equals_one_shot_with_reordering(self, backend):
         _, one_shot = _run(backend, ONE_SHOT, reorder=0.3)
         assert one_shot.counts_match_reference()
@@ -84,11 +89,18 @@ class TestBatchSizeInvariance:
 class TestBackendIdentity:
     def _assert_backends_agree(self, mode, workload_factory):
         reference = None
-        for backend in BACKENDS:
-            _, result = _run(
-                backend, 64, mode=mode, workload=workload_factory()
+        for backend in PATHS:
+            pipe, result = _run(
+                backend, 64, mode=mode, workload=workload_factory(),
+                registry=MetricsRegistry(),
             )
             assert result.counts_match_reference(), backend
+            # One lark report per aggregation payload: a period
+            # snapshot, or a per-packet payload.
+            assert (
+                pipe.registry.value("lark.lark-pipe.reports")
+                == result.payloads
+            ), backend
             key = (result.report, result.register_state, result.payloads,
                    result.merged, result.periods)
             if reference is None:
@@ -115,7 +127,7 @@ class TestBackendIdentity:
 
     def test_fast_backends_match_scalar_without_numpy(self, no_numpy):
         _, scalar = _run("scalar", 64)
-        for backend in ("batch", "columnar"):
+        for backend in FAST_PATHS:
             _, fast = _run(backend, 64)
             assert fast.report == scalar.report, backend
             assert fast.register_state == scalar.register_state, backend
@@ -123,7 +135,7 @@ class TestBackendIdentity:
 
 
 class TestMidRunRekey:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", PATHS)
     def test_rekey_mid_run_stays_exact(self, backend):
         new_key = bytes(range(16))
         fired = []

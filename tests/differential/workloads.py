@@ -1,10 +1,10 @@
-"""Seeded workload generators for the scalar-vs-batch differential suite.
+"""Seeded workload generators for the scalar-vs-columnar differential suite.
 
 Three shapes, all deterministic given a seed:
 
 * ``uniform``     — every user equally likely; the common case.
 * ``zipfian``     — heavy-tailed user popularity (Pareto ranks), so the
-  batch decode memo sees a few hot cookies and a long cold tail.
+  decode memo sees a few hot cookies and a long cold tail.
 * ``adversarial`` — engineered to stress the fast path's caches and
   fallbacks: distinct connection IDs that collide in the decode memo
   (same preserved cookie bytes, different random filler), cookies
@@ -13,10 +13,17 @@ Three shapes, all deterministic given a seed:
 
 Every generator returns plain :class:`ConnectionID` lists so the same
 stream can be replayed through the scalar path and through
-``process_quic_batch`` at any chunking.
+``process_quic_columnar`` at any chunking.
+
+Suites compare three *paths*: ``scalar`` (the oracle), ``no_numpy``
+(the columnar backend with the numpy gate forced closed, i.e. its
+pure-Python kernel) and ``columnar`` (the gate as the environment has
+it).  :func:`backend_of` maps a path to its backend name and
+:func:`gate` is the context a path runs under.
 """
 
 import random
+from contextlib import nullcontext
 from typing import List
 
 from repro.core.aggregation import ForwardingMode
@@ -25,11 +32,25 @@ from repro.core.larkswitch import LarkSwitch
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.obs.registry import MetricsRegistry
 from repro.quic.connection_id import ConnectionID
+from repro.switch.columns import numpy_forced
 from repro.switch.hashing import crc32
 from repro.workloads.adcampaign import AdCampaignWorkload
 
 APP_ID = 0x3D
 SHAPES = ("uniform", "zipfian", "adversarial")
+FAST_PATHS = ("no_numpy", "columnar")
+PATHS = ("scalar",) + FAST_PATHS
+
+
+def backend_of(path: str) -> str:
+    """The backend name a differential path runs on."""
+    return "columnar" if path == "no_numpy" else path
+
+
+def gate(path: str):
+    """The context ``path`` runs under: the numpy gate forced closed
+    for ``no_numpy``, left as it is otherwise."""
+    return numpy_forced(False) if path == "no_numpy" else nullcontext()
 
 
 def register_state(switch):
@@ -44,7 +65,7 @@ class DifferentialWorkload:
 
     Paired switches are built with identical seeds but *private*
     metrics registries: same-named instruments in the global registry
-    would otherwise be shared between the scalar and batch instances.
+    would otherwise be shared between the scalar and columnar instances.
     """
 
     def __init__(self, seed: int, num_users: int = 300):

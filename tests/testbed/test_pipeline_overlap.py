@@ -23,9 +23,11 @@ import pytest
 
 from repro.core.aggregation import ForwardingMode
 from repro.obs.registry import MetricsRegistry
-from repro.testbed.pipeline import PIPELINE_BACKENDS, StreamingPipeline
+from repro.testbed.pipeline import StreamingPipeline
 from repro.testbed.shm_ring import shared_memory_available
 from repro.workloads.adcampaign import AdCampaignWorkload
+
+from tests.differential.workloads import PATHS, backend_of, gate
 
 RATE = 3000.0
 DURATION_MS = 400.0
@@ -40,8 +42,9 @@ needs_shm = pytest.mark.skipif(
 
 
 def _backends(*extra_skips):
+    """Every pipeline backend, plus columnar with numpy forced off."""
     return [
-        b for b in PIPELINE_BACKENDS
+        b for b in PATHS + ("persistent",)
         if (b != "persistent" or shared_memory_available())
         and b not in extra_skips
     ]
@@ -54,13 +57,14 @@ def _run(backend, registry=None, mode=ForwardingMode.PERIODICAL, **kw):
         seed=11,
         mode=mode,
         period_ms=PERIOD_MS,
-        backend=backend,
+        backend=backend_of(backend),
         batch_size=64,
         registry=registry if registry is not None else MetricsRegistry(),
         **kw,
     )
     try:
-        result = pipe.run(RATE, DURATION_MS)
+        with gate(backend):
+            result = pipe.run(RATE, DURATION_MS)
     finally:
         pipe.close()
     return pipe, result
@@ -108,7 +112,7 @@ class TestMaxInflightBackPressure:
 
     def test_on_batch_hook_forces_lockstep(self):
         pipe, _ = _run(
-            "batch", max_inflight=8, on_batch=lambda _p, _c: None
+            "no_numpy", max_inflight=8, on_batch=lambda _p, _c: None
         )
         assert pipe.max_inflight == 1
 
@@ -125,7 +129,7 @@ class TestTailFlush:
     @needs_shm
     def test_tail_flush_identical_across_tiers(self):
         _, persistent = _run("persistent")
-        for backend in ("scalar", "batch", "columnar"):
+        for backend in PATHS:
             _, inline = _run(backend)
             assert _observables(persistent) == _observables(inline), backend
 

@@ -21,6 +21,8 @@ from repro.testbed.executor import ShardExecutor, ShardSpec
 from repro.testbed.fastpath import BENCH_APP_ID, FastpathFixture
 from repro.testbed.supervisor import ShardSupervisor
 
+from tests.differential.workloads import PATHS, backend_of, gate
+
 SEEDS = (3, 19, 71)
 
 
@@ -88,15 +90,17 @@ class TestFaultFreeEquivalence:
     """No faults: the supervisor is just a checkpointing executor."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("backend", ["scalar", "batch", "columnar"])
-    def test_matches_shard_executor_on_lark(self, seed, backend):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_matches_shard_executor_on_lark(self, seed, path):
         fixture = FastpathFixture(num_users=150, seed=seed)
         stream = _stream(fixture)
         spec = _lark_spec(fixture)
-        reference = ShardExecutor(
-            spec, shards=3, processes=1, backend=backend, chunk_size=64
-        ).run(stream)
-        supervised = _supervisor(spec, backend=backend).run(stream)
+        backend = backend_of(path)
+        with gate(path):
+            reference = ShardExecutor(
+                spec, shards=3, processes=1, backend=backend, chunk_size=64
+            ).run(stream)
+            supervised = _supervisor(spec, backend=backend).run(stream)
         assert supervised.snapshot == reference.snapshot
         assert supervised.report == reference.report
         assert supervised.crashes == 0
@@ -217,15 +221,15 @@ class TestScriptedDegradation:
         stream = _stream(fixture)
         spec = _lark_spec(fixture)
         baseline = _supervisor(spec).run(stream)
-        plan = ShardFaultPlan().degrade_backend(2, "batch")
+        plan = ShardFaultPlan().degrade_backend(2, "scalar")
         supervisor = _supervisor(spec, plan=plan)
         degraded = supervisor.run(stream)
         assert degraded.snapshot == baseline.snapshot
         assert degraded.report == baseline.report
         assert degraded.backends[:2] == ["columnar", "columnar"]
-        assert set(degraded.backends[2:]) == {"batch"}
+        assert set(degraded.backends[2:]) == {"scalar"}
         assert supervisor.registry.value("supervisor.degradations") == 1
-        assert supervisor.registry.value("supervisor.backend_tier") == 1
+        assert supervisor.registry.value("supervisor.backend_tier") == 0
 
     def test_degradation_composes_with_a_crash(self):
         fixture = FastpathFixture(num_users=150, seed=13)
@@ -295,9 +299,11 @@ class TestExecutorFallbackCause:
         monkeypatch.setattr(multiprocessing, "get_context", _broken)
         registry = MetricsRegistry()
         executor = ShardExecutor(
-            spec, shards=2, processes=2, backend="batch", registry=registry
+            spec, shards=2, processes=2, backend="columnar",
+            registry=registry,
         )
-        result = executor.run(stream)
+        with gate("no_numpy"):
+            result = executor.run(stream)
         assert not result.used_pool
         assert result.fallback_cause is not None
         assert "OSError" in result.fallback_cause
@@ -308,9 +314,10 @@ class TestExecutorFallbackCause:
         fixture = FastpathFixture(num_users=100, seed=31)
         stream = _stream(fixture, packets=200)
         spec = _lark_spec(fixture)
-        result = ShardExecutor(
-            spec, shards=2, processes=1, backend="batch",
-            registry=MetricsRegistry(),
-        ).run(stream)
+        with gate("no_numpy"):
+            result = ShardExecutor(
+                spec, shards=2, processes=1, backend="columnar",
+                registry=MetricsRegistry(),
+            ).run(stream)
         assert not result.used_pool
         assert result.fallback_cause is None
