@@ -16,6 +16,10 @@ vectorizes.  This module provides the shared substrate:
 * :data:`BACKENDS` — the selectable data-plane backends: ``scalar``
   (the per-packet oracle) and ``columnar`` (these kernels, which run
   their pure-Python form while the gate is closed).
+* :data:`PATHS` — what comparisons run: the two backends plus
+  ``no_numpy``, columnar with the gate forced closed.
+  :func:`backend_of` names a path's backend and :func:`gate` is the
+  context it runs under.
 * :class:`PacketColumns` — a batch of packets as padded byte matrices
   plus parallel integer arrays (lengths, leading header fields), built
   once per batch by the parser/switch front end.
@@ -34,7 +38,7 @@ register scatter ops) is *bit-identical* to its scalar counterpart;
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - exercised via the no-numpy CI job
@@ -45,6 +49,9 @@ except ImportError:  # pragma: no cover
 __all__ = [
     "BACKENDS",
     "check_backend",
+    "PATHS",
+    "backend_of",
+    "gate",
     "HAVE_NUMPY",
     "numpy_enabled",
     "force_numpy",
@@ -67,6 +74,7 @@ def check_backend(backend: str) -> None:
             "unknown backend %r (expected one of %s)"
             % (backend, "/".join(BACKENDS))
         )
+
 
 # Tri-state override: None = follow availability, True/False = forced.
 _FORCED: Optional[bool] = None
@@ -102,6 +110,23 @@ def numpy_forced(enabled: Optional[bool]) -> Iterator[None]:
         yield
     finally:
         _FORCED = saved
+
+
+#: Comparison paths, slowest to fastest on hosts with numpy: the scalar
+#: oracle, columnar with the numpy gate forced closed (its pure-Python
+#: kernel), and columnar with the gate as the environment has it.
+PATHS = ("scalar", "no_numpy", "columnar")
+
+
+def backend_of(path: str) -> str:
+    """The backend a comparison path runs on."""
+    return "columnar" if path == "no_numpy" else path
+
+
+def gate(path: str):
+    """The context ``path`` runs under: the numpy gate forced closed
+    for ``no_numpy``, left as it is otherwise."""
+    return numpy_forced(False) if path == "no_numpy" else nullcontext()
 
 
 def get_numpy():

@@ -26,7 +26,7 @@ from repro.core.larkswitch import LarkSwitch
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.obs.registry import MetricsRegistry
 from repro.quic.connection_id import ConnectionID
-from repro.switch.columns import numpy_enabled, numpy_forced
+from repro.switch.columns import PATHS, gate, numpy_enabled
 from repro.workloads.adcampaign import AdCampaignWorkload, iter_batches
 
 __all__ = [
@@ -37,11 +37,6 @@ __all__ = [
 ]
 
 BENCH_APP_ID = 0x5C
-
-#: What the comparison times, slowest to fastest (on hosts with numpy):
-#: the scalar oracle, the columnar entry points with the numpy gate
-#: forced closed, and the vectorized columnar kernels.
-PATHS = ("scalar", "no_numpy", "columnar")
 
 
 class FastpathFixture:
@@ -127,7 +122,7 @@ def _time_path(
     """Run all ``items`` down one path; returns seconds.  The
     ``no_numpy`` path closes the numpy gate for its run only."""
     gc.collect()  # same GC starting state for every timed run
-    with numpy_forced(False if path == "no_numpy" else numpy_enabled()):
+    with gate(path):
         t0 = time.perf_counter()
         if path == "scalar":
             for item in items:

@@ -15,15 +15,14 @@ Every generator returns plain :class:`ConnectionID` lists so the same
 stream can be replayed through the scalar path and through
 ``process_quic_columnar`` at any chunking.
 
-Suites compare three *paths*: ``scalar`` (the oracle), ``no_numpy``
-(the columnar backend with the numpy gate forced closed, i.e. its
-pure-Python kernel) and ``columnar`` (the gate as the environment has
-it).  :func:`backend_of` maps a path to its backend name and
-:func:`gate` is the context a path runs under.
+Suites compare the three :data:`repro.switch.columns.PATHS`:
+``scalar`` (the oracle), ``no_numpy`` (the columnar backend with the
+numpy gate forced closed, i.e. its pure-Python kernel) and
+``columnar`` (the gate as the environment has it), re-exported here
+with ``backend_of`` and ``gate``.
 """
 
 import random
-from contextlib import nullcontext
 from typing import List
 
 from repro.core.aggregation import ForwardingMode
@@ -32,25 +31,13 @@ from repro.core.larkswitch import LarkSwitch
 from repro.core.transport_cookie import TransportCookieCodec
 from repro.obs.registry import MetricsRegistry
 from repro.quic.connection_id import ConnectionID
-from repro.switch.columns import numpy_forced
+from repro.switch.columns import PATHS, backend_of, gate  # noqa: F401
 from repro.switch.hashing import crc32
 from repro.workloads.adcampaign import AdCampaignWorkload
 
 APP_ID = 0x3D
 SHAPES = ("uniform", "zipfian", "adversarial")
-FAST_PATHS = ("no_numpy", "columnar")
-PATHS = ("scalar",) + FAST_PATHS
-
-
-def backend_of(path: str) -> str:
-    """The backend name a differential path runs on."""
-    return "columnar" if path == "no_numpy" else path
-
-
-def gate(path: str):
-    """The context ``path`` runs under: the numpy gate forced closed
-    for ``no_numpy``, left as it is otherwise."""
-    return numpy_forced(False) if path == "no_numpy" else nullcontext()
+FAST_PATHS = PATHS[1:]
 
 
 def register_state(switch):

@@ -2,14 +2,12 @@
 
 Every runtime takes its backend as a constructor argument and runs it
 for the whole run — there is no calibrating controller in between.
-These tests pin the pieces that replaced it: the one backend tuple and
-its check, the per-backend batch callable all shard runtimes share,
-the save/restore numpy override the ``no_numpy`` differential path
-uses, the supervisor's ``backend_tier`` gauge, and the two exit-1
-gates of the ``bench`` comparison.
+These tests pin the pieces that replaced it: every runtime refusing
+the retired names, the per-backend batch callable all shard runtimes
+share, the save/restore numpy override the ``no_numpy`` differential
+path uses, and the two exit-1 gates of the ``bench`` comparison.
 """
 
-import inspect
 import io
 import json
 
@@ -18,11 +16,10 @@ import pytest
 from repro.chaos import ChaosHarness, ShardFaultPlan
 from repro.cli import main
 from repro.core.aggregation import ForwardingMode
-from repro.obs.registry import MetricsRegistry
 from repro.quic.connection_id import ConnectionID
 from repro.switch.columns import (
-    BACKENDS,
     HAVE_NUMPY,
+    PATHS,
     check_backend,
     numpy_enabled,
     numpy_forced,
@@ -33,8 +30,8 @@ from repro.testbed.executor import (
     count_folded,
     shard_processor,
 )
-from repro.testbed.fastpath import BENCH_APP_ID, PATHS, FastpathFixture
-from repro.testbed.pipeline import PIPELINE_BACKENDS, StreamingPipeline
+from repro.testbed.fastpath import BENCH_APP_ID, FastpathFixture
+from repro.testbed.pipeline import StreamingPipeline
 from repro.testbed.shm_ring import shared_memory_available
 from repro.testbed.supervisor import ShardSupervisor
 from repro.testbed.worker import ShardWorker
@@ -55,21 +52,10 @@ def _spec(kind):
     )
 
 
-class TestBackendNames:
-    def test_two_backends_scalar_first(self):
-        assert BACKENDS == ("scalar", "columnar")
-
-    def test_pipeline_adds_only_persistent(self):
-        assert PIPELINE_BACKENDS == BACKENDS + ("persistent",)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_check_backend_accepts(self, backend):
+@pytest.mark.parametrize("backend", RETIRED + ("gpu",))
+def test_check_backend_rejects(backend):
+    with pytest.raises(ValueError, match="scalar/columnar"):
         check_backend(backend)
-
-    @pytest.mark.parametrize("backend", RETIRED + ("gpu",))
-    def test_check_backend_rejects(self, backend):
-        with pytest.raises(ValueError, match="scalar/columnar"):
-            check_backend(backend)
 
 
 _CONSTRUCTORS = {
@@ -91,14 +77,6 @@ def test_runtimes_reject_retired_backend_names(runtime):
     for name in RETIRED:
         with pytest.raises(ValueError):
             _CONSTRUCTORS[runtime](name)
-
-
-@pytest.mark.parametrize(
-    "runtime", [ShardExecutor, ShardSupervisor, ShardWorker, StreamingPipeline]
-)
-def test_runtimes_default_to_columnar(runtime):
-    default = inspect.signature(runtime).parameters["backend"].default
-    assert default == "columnar"
 
 
 class _RecordingSwitch:
@@ -160,39 +138,6 @@ class TestShardProcessor:
                                 ("packet", b"\x03\x04")]
         assert all(type(p) is bytes for _, p in switch.calls)
 
-    @pytest.mark.parametrize("kind", ("lark", "agg"))
-    def test_backends_fold_the_same_on_a_real_replica(self, kind):
-        """Both backends, through the shared callable, leave a real
-        replica with the same folded count and snapshot."""
-        from repro.testbed.executor import _build_switch
-
-        fixture = FastpathFixture(
-            mode=ForwardingMode.PER_PACKET, num_users=50, seed=5
-        )
-        cids = fixture.make_cids(200)
-        if kind == "lark":
-            rows = [bytes(c) for c in cids]
-        else:
-            rows = [
-                r.aggregation_payload
-                for r in fixture.new_lark().process_quic_columnar(cids)
-                if r.aggregation_payload is not None
-            ]
-        spec = _spec(kind)
-        folded, snapshots = {}, {}
-        for backend in BACKENDS:
-            switch = _build_switch(spec, 0)
-            results = shard_processor(spec, switch, backend)(rows)
-            assert len(results) == len(rows)
-            folded[backend] = count_folded(results)
-            snapshots[backend] = (
-                switch._apps[spec.app_id].stats.snapshot()
-                if kind == "lark" else switch.merge(spec.app_id)
-            )
-        assert folded["scalar"] == folded["columnar"] > 0
-        assert snapshots["scalar"] == snapshots["columnar"]
-
-
 class _Result:
     def __init__(self, merged=False, decoded_values=None):
         self.merged = merged
@@ -227,19 +172,6 @@ def test_numpy_forced_restores_the_previous_override():
         # the inner override was unwound, the outer one kept
         assert numpy_enabled() == HAVE_NUMPY
     assert numpy_enabled() == outer
-
-
-@pytest.mark.parametrize("backend,tier", [("scalar", 0), ("columnar", 1)])
-def test_supervisor_backend_tier_gauge_is_the_backend_index(backend, tier):
-    fixture = FastpathFixture(num_users=50, seed=5)
-    stream = [bytes(c) for c in fixture.make_cids(120)]
-    supervisor = ShardSupervisor(
-        _spec("lark"), shards=2, processes=0, backend=backend,
-        chunk_size=32, checkpoint_batches=2, registry=MetricsRegistry(),
-    )
-    result = supervisor.run(stream)
-    assert set(result.backends) == {backend}
-    assert supervisor.registry.value("supervisor.backend_tier") == tier
 
 
 def _bench_result(numpy_on, reports_match=True, ratio=3.0):

@@ -214,22 +214,27 @@ class TestCrashRecovery:
 
 class TestScriptedDegradation:
     @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("start,to,tier", [
+        ("columnar", "scalar", 0), ("scalar", "columnar", 1),
+    ])
     def test_mid_run_degradation_changes_nothing_but_the_backend(
-        self, seed
+        self, seed, start, to, tier
     ):
+        """``supervisor.backend_tier`` ends on the index of the last
+        backend in ``BACKENDS``."""
         fixture = FastpathFixture(num_users=150, seed=seed)
         stream = _stream(fixture)
         spec = _lark_spec(fixture)
         baseline = _supervisor(spec).run(stream)
-        plan = ShardFaultPlan().degrade_backend(2, "scalar")
-        supervisor = _supervisor(spec, plan=plan)
+        plan = ShardFaultPlan().degrade_backend(2, to)
+        supervisor = _supervisor(spec, plan=plan, backend=start)
         degraded = supervisor.run(stream)
         assert degraded.snapshot == baseline.snapshot
         assert degraded.report == baseline.report
-        assert degraded.backends[:2] == ["columnar", "columnar"]
-        assert set(degraded.backends[2:]) == {"scalar"}
+        assert degraded.backends[:2] == [start, start]
+        assert set(degraded.backends[2:]) == {to}
         assert supervisor.registry.value("supervisor.degradations") == 1
-        assert supervisor.registry.value("supervisor.backend_tier") == 0
+        assert supervisor.registry.value("supervisor.backend_tier") == tier
 
     def test_degradation_composes_with_a_crash(self):
         fixture = FastpathFixture(num_users=150, seed=13)
